@@ -28,7 +28,7 @@ import re
 import sys
 
 from . import __version__
-from .dn import DnSearchConfig, check_dn, max_dn
+from .dn import DnSearchConfig, _max_dn_report, check_dn
 from .polytopes import boundary_census
 from .steenrod import SteenrodParseError, parse_element, render_element
 from .theorems import (
@@ -331,13 +331,9 @@ def _cmd_max_dn(args) -> tuple[dict, int]:
     )
     _autofill_note(report, a)
     _require_valid(a)
-    value = max_dn(a, config)
-    report["verdicts"] = [{"check": "max-order", "value": value}]
-    report["search_bounds"] = {
-        "max_support": args.max_support,
-        "theta_dim_bound": args.theta_dim_bound,
-        "homogeneous_only": True,
-    }
+    passing = _max_dn_report(a, config)
+    report["verdicts"] = [{"check": "max-order", "value": passing.n}]
+    report["search_bounds"] = passing.search_bounds()
     report["overall"] = True
     return report, 0
 
@@ -404,7 +400,7 @@ def _cmd_derive(args) -> tuple[dict, int]:
                                         "max_unknowns": args.max_unknowns})
     try:
         solutions = derive_actions(args.p, halfdegs, max_unknowns=args.max_unknowns)
-    except DeriveBoundExceeded as exc:
+    except (DeriveBoundExceeded, ValueError) as exc:  # ValueError covers AlgebraError
         raise PresentationError(str(exc))
     report["verdicts"] = [{"check": "solutions", "count": len(solutions)}]
     report["presentations"] = [
@@ -441,10 +437,13 @@ def _cmd_thmc(args) -> tuple[dict, int]:
 def _cmd_gamma(args) -> tuple[dict, int]:
     digest = _digest(f"gamma n={args.n} census={args.census}")
     report = _report("gamma", digest, {"n": args.n, "census": bool(args.census)})
-    if args.census:
-        report["census"] = [boundary_census(k) for k in range(1, args.n + 1)]
-    else:
-        report["census"] = [boundary_census(args.n)]
+    try:
+        if args.census:
+            report["census"] = [boundary_census(k) for k in range(1, args.n + 1)]
+        else:
+            report["census"] = [boundary_census(args.n)]
+    except ValueError as exc:
+        raise PresentationError(str(exc))
     report["verdicts"] = [
         {"n": c["n"], "vertices": c["vertices"], "facets": c["facets"]}
         for c in report["census"]

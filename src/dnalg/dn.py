@@ -387,16 +387,22 @@ def check_dn(
     )
 
 
-def max_dn(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> int:
-    """Largest n in [1, p-1] passing check_dn; the order filtration is
-    monotone, so an ascending scan that stops at the first failure is exact."""
+def _max_dn_report(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> DnReport:
+    """The check_dn report of the largest n in [1, p-1] that passes; the
+    order filtration is monotone, so an ascending scan that stops at the
+    first failure is exact."""
     if a.l < 1:
         raise AlgebraError("need at least one generator")
-    best = 0
+    best = None
     for n in range(1, a.p):
-        if check_dn(a, n, config).ok:
-            best = n
-        else:
+        report = check_dn(a, n, config)
+        if not report.ok:
             break
-    assert best >= 1, "order 1 must always pass"
+        best = report
+    assert best is not None, "order 1 must always pass"
     return best
+
+
+def max_dn(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> int:
+    """Largest n in [1, p-1] passing check_dn."""
+    return _max_dn_report(a, config).n

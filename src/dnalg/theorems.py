@@ -547,10 +547,15 @@ def derive_actions(
         }
         return AlgebraPresentation(p, list(zip(names, ms)), action)
 
-    def dfs(idx: int, assigned: dict, prev_level: int):
+    def dfs(idx: int, assigned: dict, prev_level: int, parent):
         level = fire_level(idx)
         if level > prev_level:
             candidate = build(assigned)
+            if parent is not None:
+                # The parent's table agrees with this one on every entry with
+                # power index <= prev_level, and P^k reads no entry above k:
+                # its P^k memo is valid here for k <= prev_level, no higher.
+                candidate._inherit_powers(parent, prev_level)
             if prev_level < 1 <= level:
                 for exps in p1_test_monos:
                     terms = {exps: 1}
@@ -564,7 +569,7 @@ def derive_actions(
                 if prev_level < ae + be <= level:
                     if not adem_instance_holds(candidate, ae, be, exps):
                         return
-            prev_level = level
+            prev_level, parent = level, candidate
         if idx == len(blocks):
             # every instance has fired along the path, so the table is valid
             solutions.append(build(assigned))
@@ -572,8 +577,8 @@ def derive_actions(
         name, k, basis = blocks[idx]
         for coeffs in itertools.product(range(p), repeat=len(basis)):
             assigned[(name, k)] = coeffs
-            dfs(idx + 1, assigned, prev_level)
+            dfs(idx + 1, assigned, prev_level, parent)
         del assigned[(name, k)]
 
-    dfs(0, {}, 0)
+    dfs(0, {}, 0, None)
     return solutions

@@ -11,6 +11,12 @@ instance that lands inside the degree range.
 
 Presentations are immutable after construction (caches are internal and
 value-transparent); all operations are pure.
+
+P^k of each monomial is computed once per presentation and kept in one memo
+dict per power index k.  The memo rests on one invariant: P^k reads only
+the action entries with power index <= k (Cartan formula).  So a
+presentation that agrees with another on every entry up to power index K
+may share that presentation's memo dicts for k <= K, and no others.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .fp import FpMatrix, Subspace, check_odd_prime
 from .steenrod import (
@@ -178,8 +185,9 @@ class AlgebraPresentation:
         self._index = {name: i for i, name in enumerate(names)}
         self._action: dict[tuple[int, int], dict[Exponents, int] | None] = {}
         self.autofilled: tuple[tuple[str, int], ...] = ()
-        self._basis_cache: dict[int, list[Exponents]] = {}
-        self._power_cache: dict[tuple[int, Exponents], dict[Exponents, int]] = {}
+        self._basis_buckets: dict[int, list[Exponents]] | None = None
+        # power index k -> {monomial: P^k(monomial)}; see the module docstring
+        self._power_memo: dict[int, dict[Exponents, dict[Exponents, int]]] = {}
 
         action = action or {}
         filled = []
@@ -235,25 +243,25 @@ class AlgebraPresentation:
     def monomial_degree(self, exps: Exponents) -> int:
         return sum(2 * m * e for m, e in zip(self.half_degrees, exps))
 
+    def _degree_buckets(self) -> dict[int, list[Exponents]]:
+        """Every monomial with exponents <= p, bucketed by degree in one
+        pass; each bucket is lexicographic because the scan is."""
+        if self._basis_buckets is None:
+            buckets: dict[int, list[Exponents]] = {}
+            for exps in itertools.product(range(self.p + 1), repeat=self.l):
+                buckets.setdefault(self.monomial_degree(exps), []).append(exps)
+            self._basis_buckets = buckets
+        return self._basis_buckets
+
     def basis_of_degree(self, d: int) -> list[Exponents]:
         """All monomials of degree d with exponents <= p, lexicographic."""
-        if d < 0:
-            return []
-        cached = self._basis_cache.get(d)
-        if cached is None:
-            out = []
-            for exps in itertools.product(range(self.p + 1), repeat=self.l):
-                if self.monomial_degree(exps) == d:
-                    out.append(exps)
-            cached = sorted(out)
-            self._basis_cache[d] = cached
-        return list(cached)
+        return list(self._degree_buckets().get(d, ()))
 
     def dim(self, d: int) -> int:
-        return len(self.basis_of_degree(d))
+        return len(self._degree_buckets().get(d, ()))
 
     def nonzero_degrees(self) -> list[int]:
-        return [d for d in range(self.top_degree + 1) if self.dim(d)]
+        return sorted(self._degree_buckets())
 
     # -- elements ------------------------------------------------------------
 
@@ -326,57 +334,55 @@ class AlgebraPresentation:
         return stored
 
     def _act_power_raw(self, k: int, exps: Exponents) -> dict:
-        key = (k, exps)
-        cached = self._power_cache.get(key)
+        """P^k (k >= 1) on one monomial, by recursion on its last generator
+        factor: P^k(x y_i) = sum_j P^{k-j}(x) P^j(y_i), memoized per k."""
+        memo = self._power_memo.get(k)
+        if memo is None:
+            memo = self._power_memo[k] = {}
+        cached = memo.get(exps)
         if cached is not None:
             return cached
-        # Total-power series of the monomial:  prod_i (sum_j P^j y_i t^j)^{e_i},
-        # tracked as raw term dicts indexed by t-degree up to k.
+        i = len(exps) - 1
+        while i >= 0 and not exps[i]:
+            i -= 1
+        if i < 0:  # the unit: P^k 1 = 0 for k >= 1
+            memo[exps] = {}
+            return memo[exps]
+        x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         p = self.p
-        poly: list[dict] = [{tuple([0] * self.l): 1}] + [{} for _ in range(k)]
-        for i, e in enumerate(exps):
-            if not e:
-                continue
-            series = [
-                self._entry_raw(i, j)
-                for j in range(min(k, self.half_degrees[i]) + 1)
-            ]
-            for _ in range(e):
-                nxt: list[dict] = [{} for _ in range(k + 1)]
-                for a in range(k + 1):
-                    if not poly[a]:
-                        continue
-                    for b, g in enumerate(series):
-                        if a + b > k:
-                            break
-                        if not g:
-                            continue
-                        target = nxt[a + b]
-                        for e1, c1 in poly[a].items():
-                            for e2, c2 in g.items():
-                                ee = tuple(x + y for x, y in zip(e1, e2))
-                                if any(x > p for x in ee):
-                                    continue
-                                v = (target.get(ee, 0) + c1 * c2) % p
-                                if v:
-                                    target[ee] = v
-                                elif ee in target:
-                                    del target[ee]
-                poly = nxt
-        self._power_cache[key] = poly[k]
-        return poly[k]
+        acc: dict[Exponents, int] = {}
+        for j in range(min(k, self.half_degrees[i]) + 1):
+            g = self._entry_raw(i, j)
+            f = {x: 1} if j == k else self._act_power_raw(k - j, x)
+            for e1, c1 in f.items():
+                for e2, c2 in g.items():
+                    e = tuple(map(add, e1, e2))
+                    if max(e) <= p:
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        out = {e: c % p for e, c in acc.items() if c % p}
+        memo[exps] = out
+        return out
+
+    def _inherit_powers(self, parent: "AlgebraPresentation", level: int) -> None:
+        """Share the parent's P^k memo dicts for 1 <= k <= level.
+
+        Sound only when both tables agree on every entry with power index
+        <= level: P^k reads no other entry.  A dict for k above the level
+        may hold values computed from entries that differ here."""
+        for k in range(1, level + 1):
+            self._power_memo[k] = parent._power_memo.setdefault(k, {})
 
     def _act_power_terms(self, k: int, terms: dict) -> dict:
         p = self.p
+        memo = self._power_memo.get(k, {})
         out: dict[Exponents, int] = {}
         for exps, c in terms.items():
-            for e, v in self._act_power_raw(k, exps).items():
-                w = (out.get(e, 0) + c * v) % p
-                if w:
-                    out[e] = w
-                elif e in out:
-                    del out[e]
-        return out
+            image = memo.get(exps)
+            if image is None:
+                image = self._act_power_raw(k, exps)
+            for e, v in image.items():
+                out[e] = out.get(e, 0) + c * v
+        return {e: v % p for e, v in out.items() if v % p}
 
     def _act_word_terms(self, mono: SteenrodMonomial, terms: dict) -> dict:
         if mono.eps[-1]:
@@ -455,6 +461,12 @@ def adem_instances(p: int, degrees: tuple[int, ...], top: int) -> tuple[tuple[in
     return tuple(sorted(out, key=lambda t: (t[0] + t[1], t[2], t[0])))
 
 
+@functools.lru_cache(maxsize=None)
+def _adem_normal_form(p: int, a: int, b: int) -> tuple[tuple[SteenrodMonomial, int], ...]:
+    """The admissible normal form of P^a P^b, as (word, coefficient) pairs."""
+    return tuple(adem_rewrite(SteenrodMonomial(p, (0, 0, 0), (a, b))).terms.items())
+
+
 def adem_instance_holds(
     a: AlgebraPresentation, a_exp: int, b_exp: int, exps: Exponents
 ) -> bool:
@@ -462,9 +474,8 @@ def adem_instance_holds(
     p = a.p
     x = {exps: 1}
     lhs = a._act_power_terms(a_exp, a._act_power_terms(b_exp, x))
-    nf = adem_rewrite(SteenrodMonomial(p, (0, 0, 0), (a_exp, b_exp)))
     rhs: dict[Exponents, int] = {}
-    for mono, c in nf.terms.items():
+    for mono, c in _adem_normal_form(p, a_exp, b_exp):
         for e, v in a._act_word_terms(mono, x).items():
             w = (rhs.get(e, 0) + c * v) % p
             if w:

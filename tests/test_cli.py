@@ -127,6 +127,22 @@ def test_missing_file_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gamma", "--n", "6"],                       # census supports n <= 5
+        ["derive", "--p", "4", "--halfdegs", "1"],   # p is not an odd prime
+        ["derive", "--p", "3", "--halfdegs", "0"],   # half-degree below 1
+    ],
+)
+def test_invalid_arguments_exit_two(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_reports_are_deterministic(capsys, s3_file):
     _, out1 = run(capsys, "check-dn", "--n", "2", s3_file)
     _, out2 = run(capsys, "check-dn", "--n", "2", s3_file)
@@ -198,7 +214,9 @@ def test_derive_command(capsys):
 def test_max_dn_command(capsys, s3_file):
     code, out = run(capsys, "max-dn", s3_file)
     assert code == 0
-    assert json.loads(out)["verdicts"][0]["value"] == 1
+    doc = json.loads(out)
+    assert doc["verdicts"][0]["value"] == 1
+    assert doc["search_bounds"]["incomplete_theta_degrees"] == []
 
 
 def test_check_propa_failure(capsys, s3_file):

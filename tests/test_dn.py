@@ -6,6 +6,7 @@ import pytest
 from dnalg.dn import (
     DnInstance,
     DnSearchConfig,
+    _build_slots,
     check_dn,
     check_instance,
     max_dn,
@@ -203,13 +204,21 @@ def test_report_shape_and_bounds():
 
 
 def test_incomplete_theta_enumeration_flagged():
-    # with a zero combination bound, degrees holding 2+ admissible words are
-    # reported as incompletely enumerated
-    a = s3_model(3, 3)
-    config = DnSearchConfig(max_support=2, theta_dim_bound=0)
-    report = check_dn(a, a.p, config)
-    full = check_dn(a, a.p, DnSearchConfig(max_support=2, theta_dim_bound=3))
-    assert report.ok == full.ok  # the forced witness survives either way
+    # With a zero combination bound, operation degrees holding 2+ admissible
+    # words are reported as incompletely enumerated; the default bound
+    # enumerates them all.  Swept over every degree at the slot level, since
+    # no check_dn sweep on a small model reaches such a degree.
+    a = derived(3, (2, 3))[0]
+
+    def flagged(bound):
+        incomplete = set()
+        config = DnSearchConfig(max_support=2, theta_dim_bound=bound)
+        for d in a.nonzero_degrees():
+            _build_slots(a, d, config, incomplete)
+        return incomplete
+
+    assert flagged(0) == {16, 20}
+    assert flagged(3) == set()
 
 
 def test_larger_support_configuration_runs():

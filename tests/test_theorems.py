@@ -1,7 +1,11 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
 
+from dnalg.cli import render_presentation
 from dnalg.dn import check_dn
 from dnalg.steenrod import SteenrodElement
 from dnalg.theorems import (
@@ -404,3 +408,20 @@ def test_derive_infeasible_configurations_are_empty():
     assert derived(5, (3,)) == ()
     # nor on the linked pair at p=3 (the truncation forbids it)
     assert derived(3, (2, 4)) == ()
+
+
+DERIVE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "derive_tables.json").read_text()
+)
+
+
+@pytest.mark.parametrize("shape", sorted(DERIVE_GOLDEN))
+def test_derive_reproduces_golden_tables(shape):
+    # Keyed "p:m1,m2,..."; the digest is the sha256 of the JSON list of the
+    # rendered tables, so it pins every table and their order.
+    p, ms = shape.split(":")
+    tables = derived(int(p), tuple(int(m) for m in ms.split(",")))
+    rendered = json.dumps([render_presentation(t) for t in tables])
+    want = DERIVE_GOLDEN[shape]
+    assert len(tables) == want["count"]
+    assert hashlib.sha256(rendered.encode()).hexdigest() == want["sha256"]

@@ -16,7 +16,7 @@ from dnalg.truncated import (
     validate_action,
 )
 
-from conftest import derived, model_pool, random_element, s3_model
+from conftest import derived, model_pool, random_element, random_table, s3_model
 
 
 def single_gen(p, m, lam):
@@ -138,6 +138,44 @@ def test_iterated_first_power_reaches_frobenius():
             for _ in range(m):
                 value = a.act_power(1, value)
             assert value == (a.gen(0) ** p).scale(math.factorial(m))
+
+
+def total_power_series_act(a, k, exps):
+    """Reference P^k on one monomial: the t^k coefficient of the total-power
+    series prod_i (sum_j P^j y_i t^j)^{e_i}, multiplied out factor by factor
+    with truncation at each step."""
+    p = a.p
+    poly = [{tuple([0] * a.l): 1}] + [{} for _ in range(k)]
+    for i, e in enumerate(exps):
+        series = [
+            a.action_entry(i, j).terms for j in range(min(k, a.half_degrees[i]) + 1)
+        ]
+        for _ in range(e):
+            nxt = [{} for _ in range(k + 1)]
+            for deg, f in enumerate(poly):
+                for j, g in enumerate(series[: k + 1 - deg]):
+                    target = nxt[deg + j]
+                    for e1, c1 in f.items():
+                        for e2, c2 in g.items():
+                            ee = tuple(x + y for x, y in zip(e1, e2))
+                            if max(ee) <= p:
+                                target[ee] = (target.get(ee, 0) + c1 * c2) % p
+            poly = nxt
+    return {e: c for e, c in poly[k].items() if c}
+
+
+def test_act_power_matches_total_power_series(pool):
+    rng = random.Random(7)
+    tables = [
+        random_table(rng, p, ms) for p, ms in [(3, (1, 2, 3)), (5, (1, 2, 4)), (7, (2, 3))]
+    ]
+    for a in list(pool) + tables:
+        ks = range(max(a.half_degrees) + 1)
+        monomials = [e for d in a.nonzero_degrees() for e in a.basis_of_degree(d)]
+        for exps in monomials:
+            for k in ks:
+                got = a.act_power(k, a.element({exps: 1})).terms
+                assert got == total_power_series_act(a, k, exps), (a, k, exps)
 
 
 def test_cartan_property_random(pool):
