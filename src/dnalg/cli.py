@@ -16,7 +16,8 @@ the report.
 Reports are JSON documents with a fixed key order, so identical inputs and
 flags produce byte-identical output; the plain-text rendering is derived
 from the JSON document.  Exit status: 0 for success/PASS, 1 for a checker
-FAIL (with a witness in the report), 2 for input errors.
+FAIL (with a witness in the report), 2 for input errors, 3 for an internal
+error (an unexpected exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -550,6 +551,10 @@ def main(argv=None) -> int:
     except PresentationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A fault of the program, never a checker FAIL: keep it off exit 1.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report["config"]["seed"] = args.seed
     payload = (
         json.dumps(report, indent=2) + "\n"

@@ -63,19 +63,24 @@ def transport(
     for i, img in enumerate(images):
         if img.degree() != 2 * a.half_degrees[i]:
             raise AlgebraError("substitution must preserve generator degrees")
+    # When every image is its own generator, the substitution matrix is the
+    # identity in every degree and coordinates pass through unsolved.
+    identity = all(img == a.gen(i) for i, img in enumerate(images))
     inverses: dict[int, FpMatrix] = {}
 
     def backward(x: AlgebraElement, d: int) -> dict[Exponents, int]:
         if x.is_zero():
             return {}
-        mat = inverses.get(d)
-        if mat is None:
-            mat = substitution_matrix(a, images, d)
-            inverses[d] = mat
-        sol = solve(mat, a.coords(x, d)).solution
-        if sol is None:
-            raise AlgebraError("substitution is not invertible")
-        return {e: c for e, c in zip(a.basis_of_degree(d), sol) if c}
+        coords = a.coords(x, d)
+        if not identity:
+            mat = inverses.get(d)
+            if mat is None:
+                mat = substitution_matrix(a, images, d)
+                inverses[d] = mat
+            coords = solve(mat, coords).solution
+            if coords is None:
+                raise AlgebraError("substitution is not invertible")
+        return {e: c for e, c in zip(a.basis_of_degree(d), coords) if c}
 
     action = {}
     for i, m in enumerate(a.half_degrees):
@@ -324,9 +329,12 @@ class RangeCheckResult:
 
 
 def _q_rank(a: AlgebraPresentation, s: int, e: int) -> tuple[int, int, int]:
-    theta = SteenrodElement.power(a.p, s)
-    mat = induced_q_map(a, theta, e)
-    return mat.cols, mat.rows, mat.rank()
+    """(dim source, dim target, rank) of P^s on indecomposables from degree e."""
+    ds = indecomposables(a, e).dim
+    dt = indecomposables(a, e + 2 * s * (a.p - 1)).dim
+    if not ds or not dt:
+        return ds, dt, 0
+    return ds, dt, induced_q_map(a, SteenrodElement.power(a.p, s), e).rank()
 
 
 def check_thm_a(a: AlgebraPresentation) -> RangeCheckResult:
@@ -571,8 +579,9 @@ def derive_actions(
                         return
             prev_level, parent = level, candidate
         if idx == len(blocks):
-            # every instance has fired along the path, so the table is valid
-            solutions.append(build(assigned))
+            # every instance has fired along the path, so the table is valid;
+            # the leaf's candidate, just built from ``assigned``, is the table
+            solutions.append(parent)
             return
         name, k, basis = blocks[idx]
         for coeffs in itertools.product(range(p), repeat=len(basis)):

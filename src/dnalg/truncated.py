@@ -554,8 +554,11 @@ def filtration(a: AlgebraPresentation, t: int, d: int) -> Subspace:
     rows = []
     for idx, exps in enumerate(basis):
         if sum(exps) >= t:
-            rows.append([1 if j == idx else 0 for j in range(n)])
-    return Subspace.from_vectors(a.p, n, rows)
+            row = [0] * n
+            row[idx] = 1
+            rows.append(tuple(row))
+    # Unit rows in increasing index order are already in reduced echelon form.
+    return Subspace(a.p, n, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
-from dnalg.theorems import derive_actions
-from dnalg.truncated import AlgebraPresentation
+from dnalg.cli import render_presentation
+from dnalg.dn import max_dn
+from dnalg.theorems import check_thm_a, derive_actions, normalize_generators
+from dnalg.truncated import AlgebraPresentation, render_polynomial, validate_action
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,6 +39,32 @@ def model_pool():
     for p, ms in POOL_TUPLES:
         pool.extend(derived(p, ms))
     return tuple(pool)
+
+
+def decide_digests(a: AlgebraPresentation) -> dict:
+    """What the decide calls answer on one model: the sha256 of the rendered
+    ``validate_action`` result, of the normalized presentation with its
+    images and P^1 targets, of the ``check_thm_a`` verdict dicts, and
+    ``max_dn`` itself."""
+
+    def sha(obj) -> str:
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    norm = normalize_generators(a)
+    thm_a = check_thm_a(a)
+    return {
+        "validate": sha(dataclasses.asdict(validate_action(a))),
+        "normalize": sha([
+            render_presentation(norm.presentation),
+            [render_polynomial(img) for img in norm.images],
+            sorted(norm.p1_targets.items()),
+        ]),
+        "thm_a": sha([
+            v.to_dict()
+            for v in thm_a.surjectivity + thm_a.vanishing + thm_a.isomorphism
+        ]),
+        "max_dn": max_dn(a),
+    }
 
 
 @pytest.fixture(scope="session")

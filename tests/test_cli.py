@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dnalg import cli
 from dnalg.cli import (
     PresentationError,
     main,
@@ -141,6 +142,19 @@ def test_invalid_arguments_exit_two(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_unexpected_exception_exit_three(capsys, monkeypatch):
+    # A fault inside a command must not pass for a checker FAIL (exit 1).
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_thmc", boom)
+    code = main(["thmc", "--p", "3", "--dims", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: boom\n"
 
 
 def test_reports_are_deterministic(capsys, s3_file):

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
+from dnalg import theorems
 from dnalg.cli import render_presentation
 from dnalg.dn import check_dn
+from dnalg.fp import solve
 from dnalg.steenrod import SteenrodElement
 from dnalg.theorems import (
     DeriveBoundExceeded,
@@ -17,6 +19,7 @@ from dnalg.theorems import (
     normalize_generators,
     p1_normal_form_ok,
     reduce_frobenius,
+    substitution_matrix,
     thmc_bound,
     transport,
 )
@@ -27,7 +30,15 @@ from dnalg.truncated import (
     validate_action,
 )
 
-from conftest import derived, random_table, random_element, s3_model
+from conftest import (
+    POOL_TUPLES,
+    decide_digests,
+    derived,
+    model_pool,
+    random_element,
+    random_table,
+    s3_model,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +161,42 @@ def test_transport_commutes_with_action():
             assert lhs == rhs
 
 
+def _transport_by_solve(a, images):
+    """The general transport: solve against the substitution matrix in
+    every degree, whatever the images are."""
+    action = {}
+    for i, m in enumerate(a.half_degrees):
+        for k in range(1, m + 1):
+            value = a.act_power(k, images[i])
+            d = 2 * m + 2 * k * (a.p - 1)
+            if value.is_zero():
+                action[(a.names[i], k)] = {}
+                continue
+            sol = solve(substitution_matrix(a, images, d), a.coords(value, d)).solution
+            action[(a.names[i], k)] = {
+                e: c for e, c in zip(a.basis_of_degree(d), sol) if c
+            }
+    return AlgebraPresentation(a.p, list(zip(a.names, a.half_degrees)), action)
+
+
+def test_identity_transport_matches_solve(pool):
+    rng = random.Random(53)
+    models = list(pool) + [
+        random_table(rng, 3, rng.choice([(2, 4), (2, 2, 4), (2, 4, 6)]))
+        for _ in range(10)
+    ]
+    for a in models:
+        images = [a.gen(i) for i in range(a.l)]
+        got = transport(a, images)
+        want = _transport_by_solve(a, images)
+        assert got.stored_entries() == want.stored_entries()
+        for i, k in want.stored_entries():
+            # same entries, with their terms in the same order
+            assert list(got.action_entry(i, k).terms.items()) == list(
+                want.action_entry(i, k).terms.items()
+            )
+
+
 # ---------------------------------------------------------------------------
 # pure-power lifting
 
@@ -262,6 +309,38 @@ def test_thm_a_enumerates_every_index_tuple(p, ms):
     assert {v.key() for v in result.surjectivity} == want_a1
     assert {v.key() for v in result.vanishing} == want_a2
     assert {v.key() for v in result.isomorphism} == want_a3
+
+
+def _q_rank_by_matrix(a, s, e):
+    mat = induced_q_map(a, SteenrodElement.power(a.p, s), e)
+    return mat.cols, mat.rows, mat.rank()
+
+
+def test_q_rank_matches_full_induced_map(pool, monkeypatch):
+    # Every (s, e) that check_thm_a visits on the pool models.
+    visited = []
+    real = theorems._q_rank
+
+    def spy(a, s, e):
+        visited.append((a, s, e))
+        return real(a, s, e)
+
+    monkeypatch.setattr(theorems, "_q_rank", spy)
+    for a in pool:
+        check_thm_a(a)
+    assert visited
+    for a, s, e in visited:
+        assert real(a, s, e) == _q_rank_by_matrix(a, s, e)
+
+
+def test_q_rank_with_both_q_spaces_nonzero():
+    # P^1 y4 = y8 + y4^2 at p = 3: Q^4 and Q^8 are both one-dimensional.
+    a = AlgebraPresentation(
+        3, [("y4", 2), ("y8", 4)], {("y4", 1): {(0, 1): 1, (2, 0): 1}}
+    )
+    assert theorems._q_rank(a, 1, 4) == _q_rank_by_matrix(a, 1, 4) == (1, 1, 1)
+    b = AlgebraPresentation(3, [("y4", 2), ("y8", 4)], {("y4", 1): {(2, 0): 1}})
+    assert theorems._q_rank(b, 1, 4) == _q_rank_by_matrix(b, 1, 4) == (1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,3 +504,25 @@ def test_derive_reproduces_golden_tables(shape):
     want = DERIVE_GOLDEN[shape]
     assert len(tables) == want["count"]
     assert hashlib.sha256(rendered.encode()).hexdigest() == want["sha256"]
+
+
+DECIDE_GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "decide_answers.json").read_text()
+)
+
+
+def test_decide_golden_covers_the_pool():
+    assert sorted(DECIDE_GOLDEN) == sorted(
+        f"{p}:{','.join(map(str, ms))}" for p, ms in POOL_TUPLES
+    )
+    assert sum(len(v) for v in DECIDE_GOLDEN.values()) == len(model_pool())
+
+
+@pytest.mark.parametrize("shape", sorted(DECIDE_GOLDEN))
+def test_decide_reproduces_golden_answers(shape):
+    # Keyed like the derive golden; one entry per derived model, in order,
+    # holding the digests of validate_action, normalize_generators and
+    # check_thm_a and the value of max_dn (see conftest.decide_digests).
+    p, ms = shape.split(":")
+    models = derived(int(p), tuple(int(m) for m in ms.split(",")))
+    assert [decide_digests(a) for a in models] == DECIDE_GOLDEN[shape]

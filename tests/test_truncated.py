@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dnalg.fp import FpMatrix
+from dnalg.fp import FpMatrix, Subspace
 from dnalg.steenrod import SteenrodElement, SteenrodMonomial, multiply
 from dnalg.truncated import (
     AlgebraError,
@@ -286,6 +286,23 @@ def test_deep_filtration_vanishes_in_witness_degree(pool):
     for a in list(pool)[::5]:
         d = 2 * a.p * a.half_degrees[0]
         assert filtration(a, a.p + 1, d).dim == 0
+
+
+def test_filtration_matches_rref_of_unit_rows(pool):
+    # Reference: the span of the unit rows, put through general elimination.
+    for a in pool:
+        for d in a.nonzero_degrees():
+            if not d:
+                continue
+            basis = a.basis_of_degree(d)
+            n = len(basis)
+            for t in range(1, a.p + 2):
+                rows = [
+                    [1 if j == idx else 0 for j in range(n)]
+                    for idx, exps in enumerate(basis)
+                    if sum(exps) >= t
+                ]
+                assert filtration(a, t, d) == Subspace.from_vectors(a.p, n, rows)
 
 
 def test_indecomposables_single_generator():
