@@ -4,7 +4,7 @@ combinatorics of associahedra and permuto-associahedra."""
 
 __version__ = "0.1.0"
 
-from .fp import ChainRep, FpMatrix, FpScalar, Subspace, chain_interval_form, rank, solve
+from .fp import ChainRep, FpMatrix, Subspace, chain_interval_form, solve
 from .steenrod import (
     SteenrodElement,
     SteenrodMonomial,

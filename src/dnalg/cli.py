@@ -487,8 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write the report to this path")
     common.add_argument("--quiet", action="store_true", help="suppress stdout")
     common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into reports of randomized subcommands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -555,7 +553,6 @@ def main(argv=None) -> int:
         # A fault of the program, never a checker FAIL: keep it off exit 1.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    report["config"]["seed"] = args.seed
     payload = (
         json.dumps(report, indent=2) + "\n"
         if args.format == "json"

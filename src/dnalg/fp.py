@@ -13,7 +13,7 @@ needs no locking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def is_prime(n: int) -> bool:
@@ -30,42 +30,6 @@ def is_prime(n: int) -> bool:
 def check_odd_prime(p: int) -> None:
     if not is_prime(p) or p % 2 == 0:
         raise ValueError(f"modulus must be an odd prime, got {p}")
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue in the prime field, always reduced to [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        check_odd_prime(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._check(other)
-        return FpScalar(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._check(other)
-        return FpScalar(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._check(other)
-        return FpScalar(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value, self.modulus)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 is not invertible")
-        return FpScalar(pow(self.value, -1, self.modulus), self.modulus)
-
-    def _check(self, other: "FpScalar") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
 
 
 Vector = tuple[int, ...]
@@ -133,9 +97,6 @@ class FpMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int) -> FpScalar:
-        return FpScalar(self.entries[i][j], self.modulus)
-
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
@@ -182,11 +143,6 @@ class FpMatrix:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
-
-
-def rank(m: FpMatrix) -> int:
-    """Row rank over F_p."""
-    return m.rank()
 
 
 def is_partial_permutation(m: FpMatrix) -> bool:
@@ -277,9 +233,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def matrix(self) -> FpMatrix:
-        return FpMatrix.from_rows(self.modulus, self.basis, self.ambient_dim)
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:

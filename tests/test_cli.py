@@ -157,6 +157,16 @@ def test_unexpected_exception_exit_three(capsys, monkeypatch):
     assert captured.err == "internal error: RuntimeError: boom\n"
 
 
+def test_seed_flag_is_rejected(capsys):
+    # No subcommand is randomized, so there is no --seed to accept.
+    with pytest.raises(SystemExit) as exc:
+        main(["thmc", "--p", "3", "--dims", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 1" in captured.err
+
+
 def test_reports_are_deterministic(capsys, s3_file):
     _, out1 = run(capsys, "check-dn", "--n", "2", s3_file)
     _, out2 = run(capsys, "check-dn", "--n", "2", s3_file)

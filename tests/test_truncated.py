@@ -9,6 +9,7 @@ from dnalg.truncated import (
     AlgebraError,
     AlgebraPresentation,
     adem_instance_holds,
+    adem_instances,
     filtration,
     indecomposables,
     induced_q_map,
@@ -255,6 +256,35 @@ def test_adem_instance_helper_matches_validate():
     assert adem_instance_holds(a, 1, 1, (1,))
     bad = AlgebraPresentation(5, [("y", 2)], {("y", 1): {(3,): 1}})
     assert not adem_instance_holds(bad, 1, 1, (1,))
+
+
+def filtered_adem_instances(p, degrees, top):
+    """Reference: every a < p*b, kept when the instance fits below top."""
+    out = []
+    for d in degrees:
+        for b in range(1, d // 2 + 1):
+            for a in range(1, p * b):
+                if d + 2 * (a + b) * (p - 1) <= top:
+                    out.append((a, b, d))
+    return tuple(sorted(out, key=lambda t: (t[0] + t[1], t[2], t[0])))
+
+
+def test_adem_instances_match_filter_reference():
+    # 1-3 generators of half-degree 1-8 at each prime, up to top degree 80
+    # so that the reference loop stays cheap.
+    shapes = 0
+    for p in (3, 5, 7, 11):
+        for l in (1, 2, 3):
+            for ms in itertools.combinations_with_replacement(range(1, 9), l):
+                if p * sum(ms) > 40:
+                    continue
+                a = AlgebraPresentation(p, [(f"y{i}", m) for i, m in enumerate(ms)])
+                degrees = tuple(a.nonzero_degrees())
+                assert adem_instances(p, degrees, a.top_degree) == (
+                    filtered_adem_instances(p, degrees, a.top_degree)
+                ), (p, ms)
+                shapes += 1
+    assert shapes == 161
 
 
 def test_degree_checked_at_construction():
