@@ -16,6 +16,13 @@ is used for cross-checked censuses.
 
 Enumeration is pure and deterministic (lexicographic everywhere), so
 results are stable across runs and safe to compute concurrently.
+
+Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
+tuples: ``planar_trees``, ``binary_trees``, ``_binary_leaves`` (the
+binary-tree check every ``GammaVertex`` runs) and ``delete_leaf``.  They
+are unbounded, but there are only Catalan-many trees per leaf count.  The
+benchmark empties every functools cache in dnalg's namespaces before each
+job, so its timings include filling them.
 """
 
 from __future__ import annotations
@@ -46,9 +53,18 @@ def tree_dim(tree) -> int:
 
 
 def is_binary(tree) -> bool:
+    return _binary_leaves(tree) > 0
+
+
+@lru_cache(maxsize=None)
+def _binary_leaves(tree) -> int:
+    """Leaf count of a binary tree of nested pairs, and 0 for anything else."""
     if tree is LEAF:
-        return True
-    return len(tree) == 2 and all(is_binary(c) for c in tree)
+        return 1
+    if type(tree) is not tuple or len(tree) != 2:
+        return 0
+    left, right = _binary_leaves(tree[0]), _binary_leaves(tree[1])
+    return left + right if left and right else 0
 
 
 @lru_cache(maxsize=None)
@@ -97,24 +113,28 @@ def render_tree(tree) -> str:
     return "(" + "".join(render_tree(c) for c in tree) + ")"
 
 
+_NOTHING = object()  # a marker distinct from LEAF, which is None
+
+
 def graft(tree, subtrees):
     """Replace the leaves of ``tree`` (left to right) by the given subtrees."""
-    subs = list(subtrees)
+    subs = iter(subtrees)
 
     def rec(t):
         if t is LEAF:
-            return subs.pop(0)
+            sub = next(subs, _NOTHING)
+            if sub is _NOTHING:
+                raise ValueError("too few subtrees")
+            return sub
         return tuple(rec(c) for c in t)
 
     out = rec(tree)
-    if subs:
+    if next(subs, _NOTHING) is not _NOTHING:
         raise ValueError("too many subtrees")
     return out
 
 
-_DELETED = object()
-
-
+@lru_cache(maxsize=None)
 def delete_leaf(tree, index: int):
     """Remove the index-th leaf (0-based, left to right), collapsing any
     internal node left with a single child."""
@@ -122,16 +142,16 @@ def delete_leaf(tree, index: int):
     def rec(t, lo):
         # returns (new subtree or the deletion marker, leaves consumed)
         if t is LEAF:
-            return (_DELETED if lo == index else LEAF), 1
+            return (_NOTHING if lo == index else LEAF), 1
         consumed = 0
         children = []
         for c in t:
             new_c, used = rec(c, lo + consumed)
             consumed += used
-            if new_c is not _DELETED:
+            if new_c is not _NOTHING:
                 children.append(new_c)
         if not children:
-            return _DELETED, consumed
+            return _NOTHING, consumed
         if len(children) == 1:
             return children[0], consumed
         return tuple(children), consumed
@@ -139,7 +159,7 @@ def delete_leaf(tree, index: int):
     new_tree, total = rec(tree, 0)
     if index < 0 or index >= total:
         raise ValueError("leaf index out of range")
-    if new_tree is _DELETED:
+    if new_tree is _NOTHING:
         raise ValueError("cannot delete the last leaf")
     return new_tree
 
@@ -184,14 +204,32 @@ def ordered_partitions(n: int, min_blocks: int = 2):
     """All ordered partitions of {1..n} with at least ``min_blocks`` blocks,
     as surjections onto {1..m} enumerated in lexicographic order."""
     for m in range(min_blocks, n + 1):
-        for labels in itertools.product(range(m), repeat=n):
-            if set(labels) != set(range(m)):
-                continue
-            blocks = tuple(
-                tuple(i + 1 for i, lab in enumerate(labels) if lab == b)
-                for b in range(m)
-            )
+        for blocks in _surjections(n, m):
             yield OrderedPartition(n, blocks)
+
+
+def _surjections(n: int, m: int):
+    """The blocks of each surjection {1..n} -> {1..m}, in lexicographic order
+    of its label tuple: a depth-first search that puts letter 1, 2, ... into
+    block 1, 2, ... in turn and prunes when the letters left cannot fill the
+    blocks still empty."""
+    blocks: list[list[int]] = [[] for _ in range(m)]
+    out = []
+
+    def rec(letter, empty):
+        if letter > n:
+            out.append(tuple(map(tuple, blocks)))
+            return
+        for block in blocks:
+            still_empty = empty - (not block)
+            if n - letter < still_empty:
+                continue
+            block.append(letter)
+            rec(letter + 1, still_empty)
+            block.pop()
+
+    rec(1, m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -249,8 +287,14 @@ class GammaVertex:
         n = len(self.perm)
         if sorted(self.perm) != list(range(1, n + 1)):
             raise ValueError("perm must be a permutation of {1..n}")
-        if tree_leaves(self.tree) != n or not is_binary(self.tree):
-            raise ValueError("tree must be binary with one leaf per letter")
+        try:
+            leaves = _binary_leaves(self.tree)
+        except TypeError:  # unhashable, so not a tree of nested tuples
+            leaves = 0
+        if leaves == 0 or leaves != n:  # 0 also rejects n = 0 with tree ()
+            raise ValueError(
+                "tree must be a binary tree of nested pairs with one leaf per letter"
+            )
 
     @property
     def n(self) -> int:
@@ -350,25 +394,30 @@ def flatten_vertex(face) -> GammaVertex:
     if face.dimension != 0:
         raise ValueError("face has positive dimension")
     sub = [flatten_vertex(f) for f in face.factors]
+    return _graft_vertex(face.partition.blocks, face.ktree, sub)
+
+
+def _graft_vertex(blocks, ktree, vertices) -> GammaVertex:
+    """The vertex with one factor vertex per block grafted onto ``ktree``,
+    each factor's letters renamed into its block."""
     perm = tuple(
         block[v.perm[i] - 1]
-        for block, v in zip(face.partition.blocks, sub)
+        for block, v in zip(blocks, vertices)
         for i in range(len(block))
     )
-    tree = graft(face.ktree, [v.tree for v in sub])
-    return GammaVertex(perm, tree)
+    return GammaVertex(perm, graft(ktree, [v.tree for v in vertices]))
 
 
 def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:
     """All vertices of a facet, via the product decomposition."""
     m, types = facet.decomposition
-    out = []
-    for ktree in binary_trees(m):
-        for combo in itertools.product(*(enumerate_vertices(t) for t in types)):
-            out.append(
-                flatten_vertex(FaceProduct(facet.partition, ktree, tuple(combo)))
-            )
-    return out
+    blocks = facet.partition.blocks
+    factors = [enumerate_vertices(t) for t in types]
+    return [
+        _graft_vertex(blocks, ktree, combo)
+        for ktree in binary_trees(m)
+        for combo in itertools.product(*factors)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +427,7 @@ def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:
 def degeneracy(label, j: int):
     """Delete letter j and renumber the rest; collapses unary tree nodes and
     empty blocks.  Defined for labels on at least two letters."""
-    n = _label_letters(label)
+    n = label.n
     if not 1 <= j <= n:
         raise ValueError("letter out of range")
     if n < 2:
@@ -427,10 +476,6 @@ def degeneracy(label, j: int):
     if face.dimension == 0:
         return flatten_vertex(face)
     return face
-
-
-def _label_letters(label) -> int:
-    return label.n
 
 
 # ---------------------------------------------------------------------------

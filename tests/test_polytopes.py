@@ -55,6 +55,31 @@ def oracle_ordered_partitions(n):
     return out
 
 
+def filtered_ordered_partitions(n, m):
+    """The original enumeration of the m-block partitions, kept as the order
+    reference: filter all m^n label tuples down to the surjections."""
+    out = []
+    for labels in itertools.product(range(m), repeat=n):
+        if set(labels) != set(range(m)):
+            continue
+        out.append(tuple(
+            tuple(i + 1 for i, lab in enumerate(labels) if lab == b)
+            for b in range(m)
+        ))
+    return out
+
+
+def flattened_facet_vertices(facet):
+    """The original facet-vertex enumeration, kept as the order reference: one
+    throwaway FaceProduct per vertex, flattened."""
+    m, types = facet.decomposition
+    return [
+        flatten_vertex(FaceProduct(facet.partition, ktree, tuple(combo)))
+        for ktree in binary_trees(m)
+        for combo in itertools.product(*(enumerate_vertices(t) for t in types))
+    ]
+
+
 def oracle_binary_trees(m):
     """Independent Catalan-style enumeration of binary bracketings."""
     if m == 1:
@@ -101,6 +126,13 @@ def test_graft_and_delete_leaf():
     assert render_tree(t) == "((..).)"
 
 
+def test_graft_rejects_wrong_subtree_count():
+    with pytest.raises(ValueError, match="too few"):
+        graft((LEAF, (LEAF, LEAF)), [LEAF, LEAF])
+    with pytest.raises(ValueError, match="too many"):
+        graft((LEAF, LEAF), [LEAF, LEAF, LEAF])
+
+
 # ---------------------------------------------------------------------------
 # facets
 
@@ -122,6 +154,15 @@ def test_facets_four_letters():
         math.factorial(m) * stirling2(4, m) for m in range(2, 5)
     )
     assert len(facets) == expected
+
+
+def test_ordered_partitions_match_label_filter_in_order():
+    for n in range(1, 8):
+        by_m = {m: filtered_ordered_partitions(n, m) for m in range(n + 1)}
+        for min_blocks in range(n + 2):
+            want = [b for m in range(min_blocks, n + 1) for b in by_m[m]]
+            got = [p.blocks for p in ordered_partitions(n, min_blocks)]
+            assert got == want, (n, min_blocks)
 
 
 def test_facets_match_oracle():
@@ -153,6 +194,21 @@ def test_vertex_counts():
     assert len(enumerate_vertices(2)) == 2
     assert len(enumerate_vertices(3)) == 12
     assert len(enumerate_vertices(4)) == math.factorial(4) * catalan(3)  # 120
+
+
+def test_vertex_validation():
+    assert GammaVertex((2, 1), (LEAF, LEAF)).tree == (LEAF, LEAF)
+    bad = [
+        ((1, 1), (LEAF, LEAF)),                # not a permutation
+        ((1, 2, 3), (LEAF, LEAF)),             # two leaves for three letters
+        ((1, 2, 3), (LEAF, LEAF, LEAF)),       # ternary, not binary
+        ((1, 2), [LEAF, LEAF]),                # a list, not a tree of pairs
+        ((1, 2, 3), (LEAF, [LEAF, LEAF])),     # a list inside a pair
+        ((), ()),                              # no letters and no leaves
+    ]
+    for perm, tree in bad:
+        with pytest.raises(ValueError):
+            GammaVertex(perm, tree)
 
 
 def test_vertices_are_distinct():
@@ -188,6 +244,12 @@ def test_facet_vertex_counts_three_letters():
         assert len(vs) == 2
         assert len(set(vs)) == 2
         assert facet.vertex_count() == 2
+
+
+def test_facet_vertices_match_face_product_flattening_in_order():
+    for n in (2, 3, 4, 5):
+        for facet in enumerate_facets(n):
+            assert facet_vertices(facet) == flattened_facet_vertices(facet)
 
 
 def test_facet_vertex_count_two_two_type():
