@@ -467,8 +467,9 @@ def _cmd_steenrod(args) -> tuple[dict, int]:
 
 
 def _int_list(text: str) -> list[int]:
+    """A nonempty comma-separated integer list; an empty item is an error."""
     try:
-        return [int(x) for x in text.split(",") if x.strip()]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise PresentationError(f"expected a comma-separated integer list, got {text!r}")
 

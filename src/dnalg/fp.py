@@ -1,19 +1,23 @@
-"""Exact dense linear algebra over odd prime fields.
+"""Exact linear algebra and polynomial systems over odd prime fields.
 
 Matrices are immutable grids of reduced integer residues.  Subspaces are
 kept in reduced row echelon form, so two equal subspaces are structurally
 identical and compare equal.  Chains of maps between coordinate spaces can
 be decomposed into interval form, in which every map is a 0/1 partial
-permutation matrix and all composite ranks are preserved.
+permutation matrix and all composite ranks are preserved.  Sparse
+polynomials over F_p, read as functions on F_p^n, back a solver that
+lists every common zero of a system of polynomial equations.
 
-Everything here is a pure function over immutable values; concurrent use
-needs no locking.
+Everything here is a pure function over immutable values, except that
+``poly_mul_into`` adds into the dict it is given; concurrent use needs no
+locking.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import eq
 
 
 def is_prime(n: int) -> bool:
@@ -434,3 +438,169 @@ def chain_interval_form(chain: ChainRep) -> IntervalForm:
 def all_vectors(p: int, n: int):
     """Iterate every vector of F_p^n (test oracles; exponential)."""
     return itertools.product(range(p), repeat=n)
+
+
+# ---------------------------------------------------------------------------
+# sparse polynomials over F_p, read as functions on F_p^n
+#
+# A polynomial is a dict {monomial: nonzero residue}; a monomial is the
+# sorted tuple of its variable indices, each repeated by its exponent, and
+# () is the constant monomial.  Only values at points of F_p^n matter here,
+# so every exponent is kept below p by x^p = x.
+
+Poly = dict[tuple[int, ...], int]
+
+
+def _mono_mul(m1: tuple[int, ...], m2: tuple[int, ...], p: int) -> tuple[int, ...]:
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    m = tuple(sorted(m1 + m2))
+    if not any(map(eq, m, m[p - 1:])):  # every exponent is below p
+        return m
+    out: list[int] = []
+    i = 0
+    while i < len(m):
+        j = i
+        while j < len(m) and m[j] == m[i]:
+            j += 1
+        # both factors have exponents below p, so one step of x^p = x suffices
+        out.extend(m[i:j] if j - i < p else m[i:j - p + 1])
+        i = j
+    return tuple(out)
+
+
+def poly_mul_into(acc: dict, f: Poly, g: Poly, p: int) -> None:
+    """Add f * g into acc, leaving its coefficients unreduced."""
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = _mono_mul(m1, m2, p)
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
+def poly_reduce(acc: dict, p: int) -> Poly:
+    return {m: c % p for m, c in acc.items() if c % p}
+
+
+def poly_substitute(f: Poly, v: int, g: Poly, p: int) -> Poly:
+    """f with the variable v replaced by g, which must not contain v."""
+    if not any(v in m for m in f):
+        return f
+    out: dict = {}
+    if not g or list(g) == [()]:  # a constant: no product to expand
+        c0 = g.get((), 0)
+        for m, c in f.items():
+            k = m.count(v)
+            if k:
+                if not c0:
+                    continue
+                m = tuple(x for x in m if x != v)
+                c *= c0 ** k
+            out[m] = out.get(m, 0) + c
+        return poly_reduce(out, p)
+    powers = [{(): 1}, g]
+    for m, c in f.items():
+        k = m.count(v)
+        if not k:
+            out[m] = out.get(m, 0) + c
+            continue
+        while len(powers) <= k:
+            acc: dict = {}
+            poly_mul_into(acc, powers[-1], g, p)
+            powers.append(poly_reduce(acc, p))
+        rest = tuple(x for x in m if x != v)
+        poly_mul_into(out, {rest: c}, powers[k], p)
+    return poly_reduce(out, p)
+
+
+def _poly_value(f: Poly, values: dict[int, int], p: int) -> int:
+    total = 0
+    for m, c in f.items():
+        for x in m:
+            c *= values[x]
+        total += c
+    return total % p
+
+
+def _echelon(equations, p: int) -> list[Poly]:
+    """Row-reduce polynomials as vectors over their monomials, leading with
+    the monomial of highest total degree.  The rows returned span the same
+    equations and have distinct monic leading monomials, so zero rows and
+    scalar multiples are gone, and every linear consequence of the
+    equations is spanned by the rows of total degree <= 1."""
+    rows: dict[tuple[int, ...], Poly] = {}
+    for f in equations:
+        f = dict(f)
+        while f:
+            lead = max(f, key=lambda m: (len(m), m))
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(f[lead], -1, p)
+                rows[lead] = {m: c * inv % p for m, c in f.items()}
+                break
+            c = f[lead]
+            for m, d in row.items():
+                x = (f.get(m, 0) - c * d) % p
+                if x:
+                    f[m] = x
+                else:
+                    f.pop(m, None)
+    return list(rows.values())
+
+
+def solve_polynomial_system(p: int, n: int, equations) -> list[Vector]:
+    """Every point of F_p^n at which all the given polynomials vanish, in
+    lexicographic order.
+
+    One loop runs on each branch: row-reduce the equations (which drops
+    zero equations and scalar multiples); abandon the branch at a nonzero
+    constant; eliminate one variable of each equation of total degree 1 by
+    affine substitution.  When no linear equation is left, the branch
+    splits over the p values of the variable that occurs in the most
+    equations.  When no equation is left, the variables neither eliminated
+    nor fixed run freely, and the eliminated ones are read back in reverse
+    order of elimination.
+    """
+    solutions: list[Vector] = []
+
+    def branch(eqs: list[Poly], fixed: list[tuple[int, Poly]]) -> None:
+        while True:
+            eqs = _echelon(eqs, p)
+            if any(list(f) == [()] for f in eqs):
+                return
+            linear = [f for f in eqs if all(len(m) <= 1 for m in f)]
+            if not linear:
+                break
+            eqs = [f for f in eqs if not all(len(m) <= 1 for m in f)]
+            for f in linear:
+                for v, expr in fixed:
+                    f = poly_substitute(f, v, expr, p)
+                if list(f) == [()]:
+                    return
+                if f:
+                    v = min(m[0] for m in f if m)
+                    inv = pow(f[(v,)], -1, p)
+                    expr = {m: -c * inv % p for m, c in f.items() if m != (v,)}
+                    fixed = fixed + [(v, expr)]
+                    eqs = [poly_substitute(g, v, expr, p) for g in eqs]
+        if eqs:
+            counts: dict[int, int] = {}
+            for f in eqs:
+                for x in {x for m in f for x in m}:
+                    counts[x] = counts.get(x, 0) + 1
+            v = max(counts, key=lambda x: (counts[x], -x))
+            for value in range(p):
+                const = {(): value} if value else {}
+                branch([poly_substitute(f, v, const, p) for f in eqs], fixed + [(v, const)])
+            return
+        done = {v for v, _ in fixed}
+        free = [x for x in range(n) if x not in done]
+        for point in itertools.product(range(p), repeat=len(free)):
+            values = dict(zip(free, point))
+            for v, expr in reversed(fixed):
+                values[v] = _poly_value(expr, values, p)
+            solutions.append(tuple(values[x] for x in range(n)))
+
+    branch(list(equations), [])
+    return sorted(solutions)

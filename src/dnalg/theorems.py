@@ -5,25 +5,36 @@ partial-permutation form on indecomposables; a pure-power lifting check on
 normalized presentations; surjectivity/vanishing/isomorphism sweeps for the
 induced maps on indecomposables; a Frobenius-degree reduction that divides
 all generator degrees by p; an upper bound for compatible higher
-commutativity on products of odd spheres; and an exhaustive solver that
-enumerates all Adem-consistent action tables for given generator degrees.
+commutativity on products of odd spheres; and a solver that finds all
+Adem-consistent action tables for given generator degrees.
 
 Everything here is a pure function with deterministic output order; the
-exhaustive solver enumerates coefficient assignments lexicographically.
+solver returns the tables in lexicographic order of their coefficients.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import add
 
-from .fp import ChainRep, FpMatrix, chain_interval_form, check_odd_prime, solve
+from .fp import (
+    ChainRep,
+    FpMatrix,
+    Poly,
+    chain_interval_form,
+    check_odd_prime,
+    poly_mul_into,
+    poly_reduce,
+    solve,
+    solve_polynomial_system,
+)
 from .steenrod import SteenrodElement
 from .truncated import (
     AlgebraElement,
     AlgebraError,
     AlgebraPresentation,
     Exponents,
+    _adem_normal_form,
     adem_instance_holds,
     adem_instances,
     indecomposables,
@@ -287,19 +298,7 @@ class RangeVerdict:
         return (self.family, self.a, self.b, self.c, self.t)
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "t": self.t,
-            "source_degree": self.source_degree,
-            "target_degree": self.target_degree,
-            "dim_source": self.dim_source,
-            "dim_target": self.dim_target,
-            "rank": self.rank,
-            "ok": self.ok,
-        }
+        return dict(vars(self))  # the fields, in declaration order
 
 
 @dataclass(frozen=True)
@@ -309,23 +308,18 @@ class RangeCheckResult:
     isomorphism: tuple[RangeVerdict, ...]    # family "A3"
 
     @property
+    def verdicts(self) -> tuple[RangeVerdict, ...]:
+        return self.surjectivity + self.vanishing + self.isomorphism
+
+    @property
     def ok(self) -> bool:
-        return all(
-            v.ok for v in self.surjectivity + self.vanishing + self.isomorphism
-        )
+        return all(v.ok for v in self.verdicts)
 
     def failures(self) -> list[RangeVerdict]:
-        return [
-            v
-            for v in self.surjectivity + self.vanishing + self.isomorphism
-            if not v.ok
-        ]
+        return [v for v in self.verdicts if not v.ok]
 
     def by_key(self) -> dict:
-        return {
-            v.key(): v.ok
-            for v in self.surjectivity + self.vanishing + self.isomorphism
-        }
+        return {v.key(): v.ok for v in self.verdicts}
 
 
 def _q_rank(a: AlgebraPresentation, s: int, e: int) -> tuple[int, int, int]:
@@ -477,7 +471,7 @@ def thmc_bound(p: int, sphere_dims: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive action solver
+# action-table solver
 
 
 class DeriveBoundExceeded(RuntimeError):
@@ -490,104 +484,110 @@ class DeriveBoundExceeded(RuntimeError):
         self.bound = bound
 
 
+def _adem_equations(a: AlgebraPresentation, blocks, instances) -> list[Poly]:
+    """The coefficients of LHS - RHS of every instance (P^a, P^b, monomial),
+    as polynomials over F_p in the free entries of ``blocks``: variable v is
+    the v-th basis coefficient, counting through the blocks in order."""
+    p, one = a.p, {(): 1}
+    # (generator, power index) -> {monomial: coefficient polynomial}
+    entries: dict[tuple[int, int], dict[Exponents, Poly]] = {}
+    for i, m in enumerate(a.half_degrees):
+        unit = tuple(int(j == i) for j in range(a.l))
+        entries[(i, 0)] = {unit: one}
+        entries[(i, m)] = {tuple(p * e for e in unit): one}
+    v = 0
+    for i, k, basis in blocks:
+        entries[(i, k)] = {e: {(v + n,): 1} for n, e in enumerate(basis)}
+        v += len(basis)
+    memo: dict[tuple[int, Exponents], dict[Exponents, Poly]] = {}
+
+    def power(k: int, exps: Exponents) -> dict[Exponents, Poly]:
+        """P^k on one monomial, by the recursion of ``_act_power_raw``."""
+        if (k, exps) not in memo:
+            i = max((j for j, e in enumerate(exps) if e), default=-1)
+            acc: dict[Exponents, dict] = {}
+            if i >= 0:  # else the unit: P^k 1 = 0
+                x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                for j in range(min(k, a.half_degrees[i]) + 1):
+                    for e1, c1 in ({x: one} if j == k else power(k - j, x)).items():
+                        for e2, c2 in entries[(i, j)].items():
+                            e = tuple(map(add, e1, e2))
+                            if max(e) <= p:
+                                poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
+            memo[(k, exps)] = {e: c for e, f in acc.items() if (c := poly_reduce(f, p))}
+        return memo[(k, exps)]
+
+    equations = []
+    for ae, be, exps in instances:
+        diff: dict[Exponents, dict] = {}
+        # The Bockstein acts as zero in even degrees, so words with one drop.
+        words = [((ae, be), 1)] + [
+            (w.pows, -c) for w, c in _adem_normal_form(p, ae, be) if not any(w.eps)
+        ]
+        for pows, c in words:
+            terms = {exps: {(): c}}
+            for k in reversed(pows):
+                acc: dict[Exponents, dict] = {}
+                for x, f in terms.items():
+                    for e, g in power(k, x).items():
+                        poly_mul_into(acc.setdefault(e, {}), f, g, p)
+                terms = {e: f for e, g in acc.items() if (f := poly_reduce(g, p))}
+            for e, f in terms.items():
+                poly_mul_into(diff.setdefault(e, {}), one, f, p)
+        equations.extend(poly_reduce(f, p) for f in diff.values())
+    return equations
+
+
 def derive_actions(
     p: int, half_degrees: list[int], max_unknowns: int = 12
 ) -> list[AlgebraPresentation]:
     """All Adem-consistent action tables on T^{[p+1]} generators of the given
-    half-degrees.
+    half-degrees, in lexicographic order of their coefficient vectors.
 
-    Depth-first search over the free coefficients, with blocks ordered by
-    the power index k so that a relation P^a P^b fires (and prunes) as soon
-    as every entry with k <= a+b is assigned; the forced top entries
-    P^{m_i} y_i = y_i^p are available from the start.  Output is ordered
-    lexicographically in the coefficient vectors.
-    """
+    Each coefficient of P^k y_i (1 <= k < m_i) on the degree basis is one
+    variable, numbered k-major, then by generator, then in basis order
+    (P^{m_i} y_i = y_i^p is forced).  Each coefficient of P^a P^b minus its
+    normal form, on each basis monomial, is one polynomial equation over
+    F_p; ``solve_polynomial_system`` eliminates what is linear and branches
+    on what stays nonlinear.  ``max_unknowns`` bounds the variable count
+    before any elimination.  With no variable, the one forced table is
+    checked numerically."""
     check_odd_prime(p)
+    if max_unknowns < 0:
+        raise ValueError(f"max_unknowns must be >= 0, got {max_unknowns}")
     ms = sorted(half_degrees)
     names = [f"y{2 * m}" for m in ms]
     if len(set(names)) != len(names):
         names = [f"y{2 * m}_{i}" for i, m in enumerate(ms)]
-    probe = AlgebraPresentation(p, list(zip(names, ms)))
+    gens = list(zip(names, ms))
+    probe = AlgebraPresentation(p, gens)
 
-    # One block of unknowns per (generator, k) entry below the forced top,
-    # in k-major order.
-    blocks: list[tuple[str, int, list[Exponents]]] = []
-    total_unknowns = 0
-    for k in range(1, max(ms) if ms else 1):
-        for i, m in enumerate(ms):
-            if k < m:
-                d = 2 * m + 2 * k * (p - 1)
-                basis = probe.basis_of_degree(d)
-                blocks.append((names[i], k, basis))
-                total_unknowns += len(basis)
+    # One block of unknowns per entry P^k y_i below the forced top, k-major.
+    blocks = [
+        (i, k, probe.basis_of_degree(2 * m + 2 * k * (p - 1)))
+        for k in range(1, max(ms, default=1))
+        for i, m in enumerate(ms)
+        if k < m
+    ]
+    total_unknowns = sum(len(basis) for _, _, basis in blocks)
     if total_unknowns > max_unknowns:
         raise DeriveBoundExceeded(total_unknowns, max_unknowns)
 
-    degrees = tuple(probe.nonzero_degrees())
     instances = [
         (ae, be, exps)
-        for ae, be, d in adem_instances(p, degrees, probe.top_degree)
-        for exps in probe.basis_of_degree(d)
-    ]
-    # Monomials on which the derived identity (P^1)^p = 0 can be tested as
-    # soon as every P^1 entry is known; it prunes long before the pairwise
-    # relations that imply it become fully determined.
-    p1_test_monos = [
-        exps
-        for d in degrees
-        if d + 2 * p * (p - 1) <= probe.top_degree
+        for ae, be, d in adem_instances(p, tuple(probe.nonzero_degrees()), probe.top_degree)
         for exps in probe.basis_of_degree(d)
     ]
 
-    def fire_level(idx: int) -> int:
-        """Entries available after assigning blocks[:idx]: all k up to this."""
-        if idx == len(blocks):
-            return max(2 * sum(ms), 1) * p  # everything is known at a leaf
-        return blocks[idx][1] - 1
+    def table(vector) -> AlgebraPresentation:
+        coeffs = iter(vector)
+        return AlgebraPresentation(p, gens, {
+            (names[i], k): {e: c for e, c in zip(basis, coeffs) if c}
+            for i, k, basis in blocks
+        })
 
-    solutions: list[AlgebraPresentation] = []
-
-    def build(assigned: dict) -> AlgebraPresentation:
-        action = {
-            (name, k): {e: c for e, c in zip(basis, assigned[(name, k)]) if c}
-            for (name, k, basis) in blocks
-            if (name, k) in assigned
-        }
-        return AlgebraPresentation(p, list(zip(names, ms)), action)
-
-    def dfs(idx: int, assigned: dict, prev_level: int, parent):
-        level = fire_level(idx)
-        if level > prev_level:
-            candidate = build(assigned)
-            if parent is not None:
-                # The parent's table agrees with this one on every entry with
-                # power index <= prev_level, and P^k reads no entry above k:
-                # its P^k memo is valid here for k <= prev_level, no higher.
-                candidate._inherit_powers(parent, prev_level)
-            if prev_level < 1 <= level:
-                for exps in p1_test_monos:
-                    terms = {exps: 1}
-                    for _ in range(p):
-                        terms = candidate._act_power_terms(1, terms)
-                        if not terms:
-                            break
-                    if terms:
-                        return
-            for ae, be, exps in instances:
-                if prev_level < ae + be <= level:
-                    if not adem_instance_holds(candidate, ae, be, exps):
-                        return
-            prev_level, parent = level, candidate
-        if idx == len(blocks):
-            # every instance has fired along the path, so the table is valid;
-            # the leaf's candidate, just built from ``assigned``, is the table
-            solutions.append(parent)
-            return
-        name, k, basis = blocks[idx]
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            assigned[(name, k)] = coeffs
-            dfs(idx + 1, assigned, prev_level, parent)
-        del assigned[(name, k)]
-
-    dfs(0, {}, 0, None)
-    return solutions
+    if not total_unknowns:
+        forced = table(())
+        return [forced] if all(adem_instance_holds(forced, *t) for t in instances) else []
+    equations = _adem_equations(probe, blocks, instances)
+    return [table(v) for v in solve_polynomial_system(p, total_unknowns, equations)]

@@ -13,10 +13,7 @@ Presentations are immutable after construction (caches are internal and
 value-transparent); all operations are pure.
 
 P^k of each monomial is computed once per presentation and kept in one memo
-dict per power index k.  The memo rests on one invariant: P^k reads only
-the action entries with power index <= k (Cartan formula).  So a
-presentation that agrees with another on every entry up to power index K
-may share that presentation's memo dicts for k <= K, and no others.
+dict per power index k.
 """
 
 from __future__ import annotations
@@ -328,15 +325,6 @@ class AlgebraPresentation:
         out = {e: c % p for e, c in acc.items() if c % p}
         memo[exps] = out
         return out
-
-    def _inherit_powers(self, parent: "AlgebraPresentation", level: int) -> None:
-        """Share the parent's P^k memo dicts for 1 <= k <= level.
-
-        Sound only when both tables agree on every entry with power index
-        <= level: P^k reads no other entry.  A dict for k above the level
-        may hold values computed from entries that differ here."""
-        for k in range(1, level + 1):
-            self._power_memo[k] = parent._power_memo.setdefault(k, {})
 
     def _act_power_terms(self, k: int, terms: dict) -> dict:
         p = self.p

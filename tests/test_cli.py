@@ -134,6 +134,11 @@ def test_missing_file_exit_two(capsys):
         ["gamma", "--n", "6"],                       # census supports n <= 5
         ["derive", "--p", "4", "--halfdegs", "1"],   # p is not an odd prime
         ["derive", "--p", "3", "--halfdegs", "0"],   # half-degree below 1
+        ["derive", "--p", "3", "--halfdegs", "1,,2"],  # empty item
+        ["derive", "--p", "3", "--halfdegs", ""],    # empty list
+        ["derive", "--p", "3", "--halfdegs", "1", "--max-unknowns", "-1"],
+        ["thmc", "--p", "3", "--dims", "1,,3"],      # empty item
+        ["thmc", "--p", "3", "--dims", ""],          # empty list
     ],
 )
 def test_invalid_arguments_exit_two(capsys, argv):

@@ -11,7 +11,11 @@ from dnalg.fp import (
     chain_interval_form,
     is_partial_permutation,
     nullspace,
+    poly_mul_into,
+    poly_reduce,
+    poly_substitute,
     solve,
+    solve_polynomial_system,
     sum_and_intersection,
 )
 
@@ -228,3 +232,76 @@ def test_chain_intervals_partition_dimensions():
         for node, d in enumerate(chain.dims):
             alive = sum(1 for (b, e) in form.intervals if b <= node <= e)
             assert alive == d
+
+
+# ---------------------------------------------------------------------------
+# sparse polynomials and the polynomial-system solver
+
+
+def poly_value(f, point, p):
+    """Oracle: evaluate a polynomial at a point of F_p^n term by term."""
+    total = 0
+    for m, c in f.items():
+        for x in m:
+            c *= point[x]
+        total += c
+    return total % p
+
+
+def random_poly(rng, p, n, terms, degree):
+    f = {}
+    for _ in range(terms):
+        m = tuple(sorted(rng.randrange(n) for _ in range(rng.randrange(degree + 1))))
+        f[m] = f.get(m, 0) + rng.randrange(1, p)
+    return poly_reduce(f, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_poly_product_reduces_by_fermat(p):
+    # x^(p-1) * x = x^p, read as x on F_p; x^(p-1) * x^(p-1) = x^(p-1).
+    acc = {}
+    poly_mul_into(acc, {(0,) * (p - 1): 1}, {(0,): 1, (1,): 2}, p)
+    assert poly_reduce(acc, p) == {(0,): 1, tuple([0] * (p - 1) + [1]): 2}
+    acc = {}
+    poly_mul_into(acc, {(0,) * (p - 1): 1}, {(0,) * (p - 1): 1}, p)
+    assert poly_reduce(acc, p) == {(0,) * (p - 1): 1}
+
+
+def test_poly_substitute_agrees_with_evaluation():
+    rng = random.Random(71)
+    for p in (3, 5):
+        for _ in range(40):
+            f = random_poly(rng, p, 3, 5, 2 * p)
+            g = random_poly(rng, p, 3, 3, 2)
+            g = {m: c for m, c in g.items() if 0 not in m}
+            h = poly_substitute(f, 0, g, p)
+            assert all(0 not in m for m in h)
+            for point in itertools.product(range(p), repeat=3):
+                moved = (poly_value(g, point, p),) + point[1:]
+                assert poly_value(h, point, p) == poly_value(f, moved, p)
+
+
+@pytest.mark.parametrize("p,n", [(3, 4), (5, 3), (7, 2)])
+def test_polynomial_system_matches_brute_force(p, n):
+    # Every point of F_p^n, kept iff all equations vanish there: the solver
+    # must return exactly these, in lexicographic order.
+    rng = random.Random(73 + p)
+    for trial in range(30):
+        equations = [
+            random_poly(rng, p, n, rng.randrange(1, 4), rng.choice([1, 2, 3]))
+            for _ in range(rng.randrange(1, n + 2))
+        ]
+        want = [
+            point for point in itertools.product(range(p), repeat=n)
+            if all(poly_value(f, point, p) == 0 for f in equations)
+        ]
+        assert solve_polynomial_system(p, n, equations) == want, (trial, equations)
+
+
+def test_polynomial_system_edge_cases():
+    # no equation: every point; a nonzero constant: none; scalar multiples
+    # of one equation count once.
+    assert solve_polynomial_system(3, 2, []) == list(itertools.product(range(3), repeat=2))
+    assert solve_polynomial_system(3, 2, [{(): 2}, {(0,): 1}]) == []
+    twice = [{(0, 0): 1, (): 2}, {(0, 0): 2, (): 1}, {}]
+    assert solve_polynomial_system(3, 1, twice) == [(1,), (2,)]

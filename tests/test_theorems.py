@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pathlib
 import random
@@ -482,6 +483,41 @@ def test_derive_agrees_with_direct_validation(p, m):
         assert validate_action(a).ok == (lam in derived_coeffs)
 
 
+# Each has at most 729 coefficient vectors.
+BRUTE_FORCE_SHAPES = [
+    (3, (2,)), (3, (1, 2)), (3, (1, 3)), (3, (2, 3)), (3, (3, 6)), (3, (2, 2)),
+    (5, (2,)), (5, (4,)), (5, (1, 2)), (5, (1, 5)), (7, (2,)), (7, (3,)),
+]
+
+
+@pytest.mark.parametrize("p,ms", BRUTE_FORCE_SHAPES)
+def test_derive_matches_brute_force_validation(p, ms):
+    # Independent oracle: walk every coefficient vector of the free entries
+    # (k-major, then generator, then basis order) in itertools.product order
+    # and keep a table iff validate_action accepts it.
+    names = [f"y{2 * m}" for m in ms]
+    if len(set(names)) != len(names):
+        names = [f"y{2 * m}_{i}" for i, m in enumerate(ms)]
+    gens = list(zip(names, ms))
+    probe = AlgebraPresentation(p, gens)
+    blocks = [
+        ((names[i], k), probe.basis_of_degree(2 * m + 2 * k * (p - 1)))
+        for k in range(1, max(ms))
+        for i, m in enumerate(ms)
+        if k < m
+    ]
+    unknowns = sum(len(basis) for _, basis in blocks)
+    assert 0 < unknowns and p ** unknowns <= 729
+    kept = []
+    for vector in itertools.product(range(p), repeat=unknowns):
+        coeffs = iter(vector)
+        action = {key: {e: c for e, c in zip(basis, coeffs) if c} for key, basis in blocks}
+        table = AlgebraPresentation(p, gens, action)
+        if validate_action(table).ok:
+            kept.append(render_presentation(table))
+    assert [render_presentation(a) for a in derived(p, ms)] == kept
+
+
 def test_derive_infeasible_configurations_are_empty():
     # no consistent table exists when a generator needs m=3 at p=5
     assert derived(5, (3,)) == ()
@@ -504,6 +540,22 @@ def test_derive_reproduces_golden_tables(shape):
     want = DERIVE_GOLDEN[shape]
     assert len(tables) == want["count"]
     assert hashlib.sha256(rendered.encode()).hexdigest() == want["sha256"]
+
+
+def test_derive_reproduces_tables_beyond_the_default_bound():
+    # (3,(2,2,2)) has 18 unknowns, so the default max_unknowns=12 refuses
+    # it.  The digest (same form as derive_tables.json) was generated by the
+    # polynomial-system solver; every one of the 128 tables passed
+    # validate_action, and plain one-variable-at-a-time elimination over
+    # the same equations gave the same list.
+    with pytest.raises(DeriveBoundExceeded):
+        derive_actions(3, [2, 2, 2])
+    tables = derive_actions(3, [2, 2, 2], max_unknowns=18)
+    rendered = json.dumps([render_presentation(t) for t in tables])
+    assert len(tables) == 128
+    assert hashlib.sha256(rendered.encode()).hexdigest() == (
+        "5012a3ba64c4b629fdf075f085c312749116081b6326c572478ad70601197a13"
+    )
 
 
 DECIDE_GOLDEN = json.loads(
