@@ -304,9 +304,18 @@ def _require_valid(a: AlgebraPresentation) -> None:
         )
 
 
+def _dn_config(args) -> DnSearchConfig:
+    try:
+        return DnSearchConfig(max_support=args.max_support, theta_dim_bound=args.theta_dim_bound)
+    except ValueError as exc:
+        raise PresentationError(str(exc))
+
+
 def _cmd_check_dn(args) -> tuple[dict, int]:
     a, digest = _load(args.file)
-    config = DnSearchConfig(max_support=args.max_support, theta_dim_bound=args.theta_dim_bound)
+    config = _dn_config(args)
+    if not 1 <= args.n <= a.p:
+        raise PresentationError(f"order must satisfy 1 <= n <= p, got n = {args.n} at p = {a.p}")
     report = _report(
         "check-dn", digest,
         {"n": args.n, "max_support": args.max_support,
@@ -325,7 +334,7 @@ def _cmd_check_dn(args) -> tuple[dict, int]:
 
 def _cmd_max_dn(args) -> tuple[dict, int]:
     a, digest = _load(args.file)
-    config = DnSearchConfig(max_support=args.max_support, theta_dim_bound=args.theta_dim_bound)
+    config = _dn_config(args)
     report = _report(
         "max-dn", digest,
         {"max_support": args.max_support, "theta_dim_bound": args.theta_dim_bound},

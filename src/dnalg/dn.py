@@ -18,11 +18,23 @@ the report; hitting one is never silent.
 Cases are independent pure computations merged in a fixed order (degree,
 then slot enumeration order), so the sweep is deterministic and could be
 fanned out to workers without changing the report.
+
+One sweep serves every order.  D^{n+1} shrinks as n grows, so the orders a
+case passes form a prefix, and each case yields the largest one: with the
+coordinates of A^d sorted by word length, it is one less than the shortest
+monomial left over when image ∩ D A^d is reduced modulo the corrections.
+A degree is trivial at order n (every inclusion holds) when its shortest
+decomposable monomial has more than n factors, which the presentation's
+word-length counts answer without building a subspace.  ``check_dn(n)``
+runs the sweep with the orders capped at n and stops at the first case
+below n; ``max_dn`` caps them at p-1 and takes the least order over the
+cases, building each degree's slots and each case's subspaces once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .fp import FpMatrix, Subspace, solve, sum_and_intersection
@@ -46,6 +58,14 @@ Exponents = tuple[int, ...]
 class DnSearchConfig:
     max_support: int = 2
     theta_dim_bound: int = 3
+
+    def __post_init__(self):
+        # A support bound below 1 leaves no case to check, so every order
+        # would pass.
+        if self.max_support < 1:
+            raise ValueError("max_support must be >= 1")
+        if self.theta_dim_bound < 0:
+            raise ValueError("theta_dim_bound must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -164,9 +184,10 @@ def check_instance(inst: DnInstance) -> DnVerdict:
 class _Slot:
     source_degree: int
     theta: SteenrodElement
-    image: Subspace          # theta(A^e) inside A^d coordinates
+    columns: tuple[tuple[int, ...], ...]  # theta on each monomial of A^e, in A^d
+    # The next two take the coordinates of A^d sorted by word length.
+    image: Subspace          # theta(A^e)
     corrections: Subspace    # theta(D A^e)
-    matrix: FpMatrix         # full map A^e -> A^d
 
 
 @dataclass(frozen=True)
@@ -239,8 +260,11 @@ def _monic_combinations(p: int, words, bound: int):
 
 def _build_slots(a, d, config, incomplete):
     """Candidate (source degree, operation) slots for one target degree,
-    deduplicated by the projective class of the induced matrix."""
+    deduplicated by the projective class of the induced matrix.  Operation
+    degrees whose combinations were cut at the bound go into ``incomplete``."""
     p = a.p
+    basis_d = a.basis_of_degree(d)
+    order = sorted(range(len(basis_d)), key=lambda r: sum(basis_d[r]))
     slots: list[_Slot] = []
     seen_matrices: set = set()
     for e in range(2, d + 1, 2):
@@ -284,125 +308,165 @@ def _build_slots(a, d, config, incomplete):
             theta = SteenrodElement(
                 p, {words[i]: c for i, c in zip(support, coeffs)}
             )
-            rows = [[cols[j][r] for j in range(len(basis_e))] for r in range(a.dim(d))]
-            mat = FpMatrix.from_rows(p, rows, len(basis_e))
-            image = mat.column_space()
-            dec_cols = [
-                list(cols[j]) for j, m in enumerate(basis_e) if sum(m) >= 2
-            ]
-            corr = Subspace.from_vectors(p, a.dim(d), dec_cols)
-            slots.append(_Slot(e, theta, image, corr, mat))
+            by_length = [[col[r] for r in order] for col in cols]
+            image = Subspace.from_vectors(p, len(order), by_length)
+            corr = Subspace.from_vectors(
+                p, len(order),
+                [v for v, m in zip(by_length, basis_e) if sum(m) >= 2],
+            )
+            slots.append(_Slot(e, theta, tuple(cols), image, corr))
     return slots
 
 
-def _extract_instance(a, d, n, slots_sel, offending: Subspace, rhs: Subspace):
-    """Turn a failed inclusion into a concrete violating instance."""
-    vec = next(v for v in offending.basis if not rhs.contains(v))
-    stacked_cols: list[list[int]] = []
-    widths = []
-    for s in slots_sel:
-        widths.append(s.matrix.cols)
-        for j in range(s.matrix.cols):
-            stacked_cols.append(list(s.matrix.column(j)))
-    mat = FpMatrix.from_rows(a.p, stacked_cols, a.dim(d)).transpose()
-    sol = solve(mat, vec).solution
+def _violation(a, d, n, sel) -> DnVerdict:
+    """The re-checkable instance of a case that fails at order n.  The
+    inclusion is rebuilt in the monomial basis of A^d, whose canonical
+    subspaces fix which failing vector the instance is made from."""
+    p, dim = a.p, a.dim(d)
+    columns = [col for s in sel for col in s.columns]
+    _, inter = sum_and_intersection(
+        Subspace.from_vectors(p, dim, columns), filtration(a, 2, d)
+    )
+    corrections = [
+        col
+        for s in sel
+        for col, m in zip(s.columns, a.basis_of_degree(s.source_degree))
+        if sum(m) >= 2
+    ]
+    rhs = Subspace.from_vectors(p, dim, corrections) + filtration(a, n + 1, d)
+    vec = next(v for v in inter.basis if not rhs.contains(v))
+    sol = solve(FpMatrix.from_rows(p, columns, dim).transpose(), vec).solution
     assert sol is not None
     pairs = []
     pos = 0
-    for s, w in zip(slots_sel, widths):
-        alpha = a.from_coords(sol[pos:pos + w], s.source_degree)
-        pos += w
+    for s in sel:
+        alpha = a.from_coords(sol[pos:pos + len(s.columns)], s.source_degree)
+        pos += len(s.columns)
         if not alpha.is_zero():
             pairs.append((s.theta, alpha))
-    return DnInstance(a, tuple(pairs), n)
+    inst = DnInstance(a, tuple(pairs), n)
+    verdict = check_instance(inst)
+    assert verdict.status == "violated"
+    certificate = dict(verdict.certificate or {})
+    certificate["dim_image_cap_decomposables"] = inter.dim
+    certificate["dim_corrections_plus_deep"] = rhs.dim
+    return DnVerdict("violated", inst, certificate=certificate)
 
 
-def check_dn(
-    a: AlgebraPresentation, n: int, config: DnSearchConfig | None = None
-) -> DnReport:
-    """Sweep all target degrees and bounded support sets; stop at the first
-    violation, which is returned as a re-checkable instance."""
-    if not 1 <= n <= a.p:
-        raise AlgebraError("order must satisfy 1 <= n <= p")
-    config = config or DnSearchConfig()
-    incomplete: set[int] = set()
-    degree_results: list[DegreeResult] = []
+def _case_order(sel, lengths, cap: int) -> int:
+    """The largest order up to cap at which one case's inclusion holds.
+
+    The slots' coordinates run by word length (``lengths``), so the
+    reduced image rows whose pivot has two or more factors span
+    image ∩ D^2, and such a row lies in corrections + D^{n+1} exactly when
+    its remainder modulo the corrections vanishes on every coordinate of n
+    or fewer factors.  A remainder whose first nonzero coordinate has t
+    factors therefore holds up to order t - 1."""
+    image, corrections = sel[0].image, sel[0].corrections
+    if len(sel) > 1:
+        p, dim = image.modulus, image.ambient_dim
+        image = Subspace.from_vectors(p, dim, [v for s in sel for v in s.image.basis])
+        corrections = Subspace.from_vectors(
+            p, dim, [v for s in sel for v in s.corrections.basis]
+        )
+    order = cap
+    for row in image.basis:
+        lead = next(i for i, x in enumerate(row) if x)
+        if lengths[lead] < 2:
+            continue  # outside D^2
+        rest = corrections.reduce(row)
+        t = next((lengths[i] for i, x in enumerate(rest) if x), None)
+        if t is not None and t - 1 < order:
+            order = t - 1
+    return order
+
+
+def _sweep(a: AlgebraPresentation, config: DnSearchConfig, lo: int, hi: int) -> DnReport:
+    """Decide every order in [lo, hi] in one pass over degrees and cases.
+
+    ``best`` is the least order, capped at hi, up to which every case seen
+    so far holds.  The result is the report of order ``best``, or, when a
+    case fails at lo, the report of order lo with that case's violation."""
+    best = hi
+    swept = []  # (degree, shortest decomposable length, result, incomplete)
     violation: DnVerdict | None = None
     for d in range(2, a.top_degree + 1, 2):
         if not a.dim(d):
             continue
-        dec = filtration(a, 2, d)
-        deep = filtration(a, n + 1, d)
-        if dec.dim == 0 or deep.dim == dec.dim:
-            # Corrections absorb the whole decomposable piece: every
-            # inclusion in this degree holds for free.
-            degree_results.append(DegreeResult(d, 0, 0, True, trivial=True))
+        counts = a.word_length_counts(d)
+        shortest = next((t for t in range(2, len(counts)) if counts[t]), math.inf)
+        if shortest > best:  # trivial at every order still in play
+            swept.append((d, shortest, None, set()))
             continue
+        incomplete: set[int] = set()
         slots = _build_slots(a, d, config, incomplete)
+        lengths = [t for t, c in enumerate(counts) for _ in range(c)]
         cases = 0
         by_size: list[tuple[int, int]] = []
-        ok = True
+        stopped = None
         for size in range(1, config.max_support + 1):
             size_cases = 0
-            for combo in itertools.combinations(range(len(slots)), size):
-                sel = [slots[i] for i in combo]
-                image = sel[0].image
-                rhs = sel[0].corrections
-                for s in sel[1:]:
-                    image = image + s.image
-                    rhs = rhs + s.corrections
-                rhs = rhs + deep
-                _, inter = sum_and_intersection(image, dec)
+            for sel in itertools.combinations(slots, size):
                 cases += 1
                 size_cases += 1
-                if not rhs.includes(inter):
-                    inst = _extract_instance(a, d, n, sel, inter, rhs)
-                    verdict = check_instance(inst)
-                    assert verdict.status == "violated"
-                    certificate = dict(verdict.certificate or {})
-                    certificate["dim_image_cap_decomposables"] = inter.dim
-                    certificate["dim_corrections_plus_deep"] = rhs.dim
-                    violation = DnVerdict(
-                        "violated", inst, certificate=certificate
-                    )
-                    ok = False
+                best = _case_order(sel, lengths, best)
+                # Below shortest the degree is trivial at every order left;
+                # below lo this case fails at lo.
+                if best < max(shortest, lo):
+                    stopped = sel
                     break
             by_size.append((size, size_cases))
-            if not ok:
+            if stopped is not None:
                 break
-        degree_results.append(
-            DegreeResult(d, len(slots), cases, ok, cases_by_support_size=tuple(by_size))
+        if best < lo:
+            violation = _violation(a, d, lo, stopped)
+        result = DegreeResult(
+            d, len(slots), cases, violation is None, cases_by_support_size=tuple(by_size)
         )
-        if not ok:
+        swept.append((d, shortest, result, incomplete))
+        if violation is not None:
             break
-    overall = violation is None
+    order = best if violation is None else lo
+    degrees: list[DegreeResult] = []
+    incomplete = set()
+    for d, shortest, result, cut in swept:
+        if shortest > order:
+            degrees.append(DegreeResult(d, 0, 0, True, trivial=True))
+        else:
+            degrees.append(result)
+            incomplete |= cut
     return DnReport(
         presentation=a,
-        n=n,
+        n=order,
         config=config,
-        ok=overall,
-        degrees=tuple(degree_results),
+        ok=violation is None,
+        degrees=tuple(degrees),
         violation=violation,
         incomplete_theta_degrees=tuple(sorted(incomplete)),
     )
 
 
+def check_dn(
+    a: AlgebraPresentation, n: int, config: DnSearchConfig | None = None
+) -> DnReport:
+    """Sweep all target degrees and bounded support sets at order n; stop at
+    the first violation, which is returned as a re-checkable instance."""
+    if not 1 <= n <= a.p:
+        raise AlgebraError("order must satisfy 1 <= n <= p")
+    return _sweep(a, config or DnSearchConfig(), n, n)
+
+
 def _max_dn_report(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> DnReport:
-    """The check_dn report of the largest n in [1, p-1] that passes; the
-    order filtration is monotone, so an ascending scan that stops at the
-    first failure is exact."""
+    """The check_dn report of the largest n in [1, p-1] that passes, from
+    one sweep.  D^{n+1} shrinks as n grows, so the orders a case passes
+    form a prefix; the answer is the least over the cases of the largest
+    order each passes, capped at p-1.  Order 1 always passes."""
     if a.l < 1:
         raise AlgebraError("need at least one generator")
-    best = None
-    for n in range(1, a.p):
-        report = check_dn(a, n, config)
-        if not report.ok:
-            break
-        best = report
-    assert best is not None, "order 1 must always pass"
-    return best
+    return _sweep(a, config or DnSearchConfig(), 1, a.p - 1)
 
 
 def max_dn(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> int:
-    """Largest n in [1, p-1] passing check_dn."""
+    """Largest n in [1, p-1] passing check_dn, from the one sweep of
+    ``_max_dn_report``."""
     return _max_dn_report(a, config).n

@@ -139,12 +139,6 @@ class FpMatrix:
         _, pivots = self.rref()
         return len(pivots)
 
-    def row_space(self) -> "Subspace":
-        return Subspace.from_vectors(self.modulus, self.cols, self.entries)
-
-    def column_space(self) -> "Subspace":
-        return self.transpose().row_space()
-
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
 
@@ -238,7 +232,9 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v) -> bool:
+    def reduce(self, v) -> Vector:
+        """What is left of v after clearing every pivot of the basis; it is
+        zero exactly when v lies in the subspace."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient mismatch")
         p = self.modulus
@@ -248,7 +244,10 @@ class Subspace:
             if v[lead]:
                 f = v[lead]
                 v = [(a - f * b) % p for a, b in zip(v, row)]
-        return not any(v)
+        return tuple(v)
+
+    def contains(self, v) -> bool:
+        return not any(self.reduce(v))
 
     def includes(self, other: "Subspace") -> bool:
         self._check(other)

@@ -173,6 +173,7 @@ class AlgebraPresentation:
         self._action: dict[tuple[int, int], dict[Exponents, int]] = {}
         self.autofilled: tuple[tuple[str, int], ...] = ()
         self._basis_buckets: dict[int, list[Exponents]] | None = None
+        self._length_counts: dict[int, tuple[int, ...]] = {}
         # power index k -> {monomial: P^k(monomial)}; see the module docstring
         self._power_memo: dict[int, dict[Exponents, dict[Exponents, int]]] = {}
 
@@ -243,6 +244,19 @@ class AlgebraPresentation:
 
     def nonzero_degrees(self) -> list[int]:
         return sorted(self._degree_buckets())
+
+    def word_length_counts(self, d: int) -> tuple[int, ...]:
+        """Entry t counts the degree-d monomials that are products of
+        exactly t generators, so the entries from t on sum to
+        ``filtration(self, t, d).dim``.  Computed once per degree."""
+        counts = self._length_counts.get(d)
+        if counts is None:
+            lengths = [sum(m) for m in self._degree_buckets().get(d, ())]
+            table = [0] * (max(lengths, default=-1) + 1)
+            for t in lengths:
+                table[t] += 1
+            counts = self._length_counts[d] = tuple(table)
+        return counts
 
     # -- elements ------------------------------------------------------------
 

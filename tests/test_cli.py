@@ -11,6 +11,8 @@ from dnalg.cli import (
 )
 from dnalg.truncated import validate_action
 
+from conftest import s3_model
+
 S3_TEXT = "p = 3; generator y halfdeg 2; action P^1 y = y^2; action P^2 y = y^3"
 
 LINKED_TEXT = """\
@@ -139,10 +141,21 @@ def test_missing_file_exit_two(capsys):
         ["derive", "--p", "3", "--halfdegs", "1", "--max-unknowns", "-1"],
         ["thmc", "--p", "3", "--dims", "1,,3"],      # empty item
         ["thmc", "--p", "3", "--dims", ""],          # empty list
+        ["check-dn", "--n", "0", "{p5}"],            # order below 1
+        ["check-dn", "--n", "9", "{p5}"],            # order above p = 5
+        ["check-dn", "--n", "3", "--max-support", "0", "{p5}"],  # no case to check
+        ["check-dn", "--n", "3", "--max-support", "-1", "{p5}"],
+        ["check-dn", "--n", "3", "--theta-dim-bound", "-1", "{p5}"],
+        ["max-dn", "--max-support", "0", "{p5}"],
+        ["max-dn", "--theta-dim-bound", "-1", "{p5}"],
     ],
 )
-def test_invalid_arguments_exit_two(capsys, argv):
-    code = main(argv)
+def test_invalid_arguments_exit_two(capsys, tmp_path, argv):
+    # {p5} stands for a file holding a valid p = 5 model on one generator
+    # of half-degree 4.
+    model = tmp_path / "p5.alg"
+    model.write_text(render_presentation(s3_model(5, 4)))
+    code = main([str(model) if arg == "{p5}" else arg for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

@@ -7,12 +7,13 @@ from dnalg.dn import (
     DnInstance,
     DnSearchConfig,
     _build_slots,
+    _max_dn_report,
     check_dn,
     check_instance,
     max_dn,
 )
 from dnalg.steenrod import SteenrodElement, basis_of_degree
-from dnalg.truncated import filtration
+from dnalg.truncated import AlgebraError, AlgebraPresentation, filtration
 
 from conftest import derived, random_element, s3_model
 
@@ -76,6 +77,26 @@ def test_check_dn_matches_definition_level_oracle(p, ms):
     for a in derived(p, ms)[:2]:
         for n in range(1, p + 1):
             assert check_dn(a, n, config).ok == definition_level_ok(a, n)
+
+
+def test_check_dn_matches_oracle_with_a_linear_action_term():
+    # P^1 y4 = y8 is no valid action (no Adem-consistent table has a linear
+    # action term), but the inclusions are defined for any table, and only
+    # such a term gives an operation's image an indecomposable part.
+    a = AlgebraPresentation(3, [("y4", 2), ("y8", 4)], {("y4", 1): {(0, 1): 1}})
+    config = DnSearchConfig(max_support=2, theta_dim_bound=0)
+    for n in (1, 3):
+        assert check_dn(a, n, config).ok == definition_level_ok(a, n)
+
+
+def test_trivial_degrees_match_filtration_dimensions(pool):
+    # a degree is trivial at order n exactly when D^{n+1} fills D^2 there
+    for a in list(pool)[::3]:
+        for n in range(1, a.p + 1):
+            for r in check_dn(a, n).degrees:
+                dec = filtration(a, 2, r.degree).dim
+                deep = filtration(a, n + 1, r.degree).dim
+                assert r.trivial == (dec == deep)
 
 
 def p1_instance(a, n):
@@ -176,12 +197,54 @@ def test_order_p_always_fails_with_witness(pool):
         assert check_instance(verdict.instance).status == "violated"
 
 
-def test_monotonicity_of_orders():
-    a = s3_model(5, 2)
-    results = [check_dn(a, n).ok for n in range(1, 6)]
-    # once an order fails, all higher orders fail
-    assert results == sorted(results, reverse=True)
-    assert results[0] is True and results[-1] is False
+def test_monotonicity_of_orders(pool):
+    for a in pool:
+        results = [check_dn(a, n).ok for n in range(1, a.p + 1)]
+        # once an order fails, all higher orders fail
+        assert results == sorted(results, reverse=True)
+        assert results[0] is True and results[-1] is False
+
+
+def ascending_scan(a, config):
+    """Reference for the one-sweep max_dn: check_dn at each order from 1
+    up, keeping the report of the last order that passes."""
+    best = None
+    for n in range(1, a.p):
+        report = check_dn(a, n, config)
+        if not report.ok:
+            break
+        best = report
+    return best
+
+
+@pytest.mark.parametrize(
+    "config",
+    [DnSearchConfig(), DnSearchConfig(max_support=1, theta_dim_bound=0)],
+    ids=["default", "single-slots"],
+)
+def test_sweep_report_equals_ascending_scan(pool, config):
+    extra = [
+        a for p, ms in [(3, (1,) * 4), (5, (1,) * 3), (7, (1,) * 3)]
+        for a in derived(p, ms)
+    ]
+    for a in list(pool) + extra:
+        assert _max_dn_report(a, config) == ascending_scan(a, config)
+
+
+@pytest.mark.parametrize(
+    "p,ms,expected", [(5, (1,) * 5, 4), (7, (1,) * 4, 6), (3, (1,) * 6, 2)]
+)
+def test_max_order_pinned_on_degree_two_generators(p, ms, expected):
+    # values computed with the ascending check_dn scan
+    (a,) = derived(p, ms)
+    assert max_dn(a) == expected
+
+
+@pytest.mark.parametrize("field,value", [("max_support", 0), ("max_support", -1),
+                                         ("theta_dim_bound", -1)])
+def test_config_rejects_out_of_range_bounds(field, value):
+    with pytest.raises(ValueError):
+        DnSearchConfig(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -234,9 +297,9 @@ def test_larger_support_configuration_runs():
 
 def test_order_out_of_range_rejected():
     a = s3_model(3, 2)
-    with pytest.raises(Exception):
+    with pytest.raises(AlgebraError):
         check_dn(a, 0)
-    with pytest.raises(Exception):
+    with pytest.raises(AlgebraError):
         check_dn(a, 4)
 
 
@@ -248,7 +311,7 @@ def test_max_order_reaches_p_minus_one():
 
 def test_instance_requires_consistent_degrees():
     a = s3_model(3, 2)
-    with pytest.raises(Exception):
+    with pytest.raises(AlgebraError):
         DnInstance(
             a,
             (

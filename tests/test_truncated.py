@@ -304,6 +304,15 @@ def test_filtration_single_generator():
     assert filtration(a, 1, 8).dim == 1
 
 
+def test_word_length_counts_match_filtration(pool):
+    for a in pool:
+        for d in a.nonzero_degrees():
+            counts = a.word_length_counts(d)
+            assert sum(counts) == a.dim(d)
+            for t in range(1, a.p + 2):
+                assert sum(counts[t:]) == filtration(a, t, d).dim
+
+
 def test_deep_filtration_vanishes_single_generator():
     for p, m in [(3, 2), (5, 2), (5, 4)]:
         a = s3_model(p, m)
