@@ -264,7 +264,9 @@ def _build_slots(a, d, config, incomplete):
     degrees whose combinations were cut at the bound go into ``incomplete``."""
     p = a.p
     basis_d = a.basis_of_degree(d)
-    order = sorted(range(len(basis_d)), key=lambda r: sum(basis_d[r]))
+    dim = len(basis_d)
+    index = {m: r for r, m in enumerate(basis_d)}
+    order = sorted(range(dim), key=lambda r: sum(basis_d[r]))
     slots: list[_Slot] = []
     seen_matrices: set = set()
     for e in range(2, d + 1, 2):
@@ -283,15 +285,20 @@ def _build_slots(a, d, config, incomplete):
         combos, truncated = _monic_combinations(p, words, config.theta_dim_bound)
         if truncated:
             incomplete.add(q)
-        mats = {}
-        for i, w in enumerate(words):
-            cols = [a.coords(a.act_word(w, a.element({m: 1})), d) for m in basis_e]
-            mats[i] = cols
+        mats = []
+        for w in words:
+            cols = []
+            for m in basis_e:
+                col = [0] * dim
+                for mono, c in a._act_word_terms(w, {m: 1}).items():
+                    col[index[mono]] = c
+                cols.append(tuple(col))
+            mats.append(cols)
         for support, coeffs in combos:
             cols = [
                 tuple(
                     sum(c * mats[i][j][r] for i, c in zip(support, coeffs)) % p
-                    for r in range(a.dim(d))
+                    for r in range(dim)
                 )
                 for j in range(len(basis_e))
             ]
@@ -460,9 +467,9 @@ def _max_dn_report(a: AlgebraPresentation, config: DnSearchConfig | None = None)
     """The check_dn report of the largest n in [1, p-1] that passes, from
     one sweep.  D^{n+1} shrinks as n grows, so the orders a case passes
     form a prefix; the answer is the least over the cases of the largest
-    order each passes, capped at p-1.  Order 1 always passes."""
-    if a.l < 1:
-        raise AlgebraError("need at least one generator")
+    order each passes, capped at p-1.  Order 1 always passes; with no
+    generators there is no case, so every order passes and the answer is
+    p-1, as ``check_dn`` finds at each order."""
     return _sweep(a, config or DnSearchConfig(), 1, a.p - 1)
 
 

@@ -19,8 +19,10 @@ results are stable across runs and safe to compute concurrently.
 
 Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
 tuples: ``planar_trees``, ``binary_trees``, ``_binary_leaves`` (the
-binary-tree check every ``GammaVertex`` runs) and ``delete_leaf``.  They
-are unbounded, but there are only Catalan-many trees per leaf count.  The
+binary-tree check every ``GammaVertex`` runs) and ``delete_leaf``, and the
+permutation check of ``GammaVertex`` is cached per permutation tuple in
+``_is_permutation``.  They are unbounded, but there are only Catalan-many
+trees per leaf count and n! permutations of n letters.  The
 benchmark empties every functools cache in dnalg's namespaces before each
 job, so its timings include filling them.
 """
@@ -31,6 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 
 LEAF = None  # leaves of planar trees
 
@@ -168,7 +171,18 @@ def delete_leaf(tree, index: int):
 # ordered partitions and facets
 
 
-@dataclass(frozen=True)
+def _is_ordered_partition(n: int, blocks) -> bool:
+    """Whether the blocks hold 1..n once each and every block is nonempty
+    and strictly increasing: one sorted comparison, then one pass per block."""
+    if sorted(itertools.chain.from_iterable(blocks)) != list(range(1, n + 1)):
+        return False
+    for block in blocks:
+        if not block or not all(map(lt, block, block[1:])):
+            return False
+    return True
+
+
+@dataclass(frozen=True, slots=True)
 class OrderedPartition:
     """An ordered partition of {1..n}: disjoint increasing blocks covering it."""
 
@@ -176,6 +190,12 @@ class OrderedPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        try:
+            if _is_ordered_partition(self.n, self.blocks):
+                return
+        except TypeError:
+            pass
+        # Not a partition: the checks one at a time, for the first message.
         seen: set[int] = set()
         for block in self.blocks:
             if not block:
@@ -232,7 +252,7 @@ def _surjections(n: int, m: int):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GammaFacet:
     """A facet of the permuto-associahedron, labelled by an ordered partition
     into at least two blocks."""
@@ -276,7 +296,12 @@ def enumerate_facets(n: int) -> list[GammaFacet]:
 # vertices
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _is_permutation(perm: tuple) -> bool:
+    return sorted(perm) == list(range(1, len(perm) + 1))
+
+
+@dataclass(frozen=True, slots=True)
 class GammaVertex:
     """A vertex: a permutation of {1..n} with a binary planar tree on n leaves."""
 
@@ -285,7 +310,11 @@ class GammaVertex:
 
     def __post_init__(self):
         n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
+        try:
+            is_perm = _is_permutation(self.perm)
+        except TypeError:  # unhashable, so checked without the cache
+            is_perm = sorted(self.perm) == list(range(1, n + 1))
+        if not is_perm:
             raise ValueError("perm must be a permutation of {1..n}")
         try:
             leaves = _binary_leaves(self.tree)

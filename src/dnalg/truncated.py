@@ -13,7 +13,14 @@ Presentations are immutable after construction (caches are internal and
 value-transparent); all operations are pure.
 
 P^k of each monomial is computed once per presentation and kept in one memo
-dict per power index k.
+dict per power index k.  ``validate_action`` reads the normal-form words of
+every Adem instance from a composition table (i, j) -> {x: P^i(P^j x)} built
+on top of that memo.  The table lives for one call and holds unreduced
+coefficients; P^0 is the identity, so the row (s, 0) is the memo of P^s
+itself.  Each composition is made once, although the normal forms of many
+instances share words.  Each instance accumulates its left side P^a(P^b x),
+which no other instance shares, minus its right side in one dict, and tests
+that difference mod p.
 """
 
 from __future__ import annotations
@@ -169,6 +176,10 @@ class AlgebraPresentation:
             raise AlgebraError("duplicate generator name")
         self.names: tuple[str, ...] = tuple(names)
         self.half_degrees: tuple[int, ...] = tuple(m for _, m in generators)
+        # degree d -> how many generators have degree d, i.e. dim Q^d
+        self._q_dims: dict[int, int] = {}
+        for m in self.half_degrees:
+            self._q_dims[2 * m] = self._q_dims.get(2 * m, 0) + 1
         self._index = {name: i for i, name in enumerate(names)}
         self._action: dict[tuple[int, int], dict[Exponents, int]] = {}
         self.autofilled: tuple[tuple[str, int], ...] = ()
@@ -295,7 +306,9 @@ class AlgebraPresentation:
 
     def action_entry(self, i: int, k: int) -> AlgebraElement:
         """P^k on generator i as stored/derived (k=0 identity, k>m_i zero)."""
-        return self.element(dict(self._entry_raw(i, k)))
+        if k == 0:
+            return self.gen(i)
+        return self.element(dict(self._action.get((i, k), {})))
 
     def stored_entries(self) -> list[tuple[int, int]]:
         return sorted(self._action)
@@ -305,14 +318,11 @@ class AlgebraPresentation:
     # kernels _act_power_raw and _act_power_terms keep their own inline loops:
     # routing them through a shared summing helper made derive 12-28% slower.
 
-    def _entry_raw(self, i: int, k: int) -> dict:
-        if k == 0:
-            return {tuple(1 if j == i else 0 for j in range(self.l)): 1}
-        return self._action.get((i, k), {})
-
     def _act_power_raw(self, k: int, exps: Exponents) -> dict:
         """P^k (k >= 1) on one monomial, by recursion on its last generator
-        factor: P^k(x y_i) = sum_j P^{k-j}(x) P^j(y_i), memoized per k."""
+        factor: P^k(x y_i) = sum_j P^{k-j}(x) P^j(y_i), memoized per k.
+        The j = 0 term is P^k(x) with exponent i raised by one, and the
+        j = k term is the stored entry P^k(y_i) times x."""
         memo = self._power_memo.get(k)
         if memo is None:
             memo = self._power_memo[k] = {}
@@ -328,14 +338,24 @@ class AlgebraPresentation:
         x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         p = self.p
         acc: dict[Exponents, int] = {}
-        for j in range(min(k, self.half_degrees[i]) + 1):
-            g = self._entry_raw(i, j)
-            f = {x: 1} if j == k else self._act_power_raw(k - j, x)
-            for e1, c1 in f.items():
+        for e1, c1 in self._act_power_raw(k, x).items():
+            if e1[i] < p:  # distinct e1 raise to distinct monomials
+                acc[e1[:i] + (e1[i] + 1,) + e1[i + 1:]] = c1
+        m = self.half_degrees[i]
+        for j in range(1, min(k - 1, m) + 1):
+            g = self._action.get((i, j))
+            if not g:
+                continue
+            for e1, c1 in self._act_power_raw(k - j, x).items():
                 for e2, c2 in g.items():
                     e = tuple(map(add, e1, e2))
                     if max(e) <= p:
                         acc[e] = acc.get(e, 0) + c1 * c2
+        if k <= m:
+            for e2, c2 in self._action.get((i, k), {}).items():
+                e = tuple(map(add, x, e2))
+                if max(e) <= p:
+                    acc[e] = acc.get(e, 0) + c2
         out = {e: c % p for e, c in acc.items() if c % p}
         memo[exps] = out
         return out
@@ -466,14 +486,48 @@ def validate_action(a: AlgebraPresentation) -> ActionValidation:
             if not a.action_entry(i, k).is_zero():
                 unstable.append(f"P^{k} {name} must vanish (k > {m})")
 
+    # The composition table (i, j) -> {x: P^i(P^j x)}; see the module docstring.
+    power, memo = a._act_power_raw, a._power_memo
+    table: dict[tuple[int, int], dict[Exponents, dict[Exponents, int]]] = {}
+
+    def compose(i: int, j: int, x: Exponents) -> dict[Exponents, int]:
+        if not j:
+            return power(i, x)
+        out: dict[Exponents, int] = {}
+        for e, c in power(j, x).items():
+            for f, v in power(i, e).items():
+                out[f] = out.get(f, 0) + c * v
+        return out
+
     failures: list[AdemFailure] = []
     checked = 0
     degrees = a.nonzero_degrees()
     by_degree = {d: a.basis_of_degree(d) for d in degrees}
+    # (a, b) -> (c, i, j, table row) per word P^i P^j of the normal form of
+    # P^a P^b, with P^s read as P^s P^0.  The Bockstein acts as zero here,
+    # so words with one drop.
+    words_of: dict[tuple[int, int], list] = {}
     for a_exp, b_exp, d in adem_instances(p, tuple(degrees), a.top_degree):
+        words = words_of.get((a_exp, b_exp))
+        if words is None:
+            words = words_of[(a_exp, b_exp)] = []
+            for w, c in _adem_normal_form(p, a_exp, b_exp):
+                if not any(w.eps):
+                    i, j = (*w.pows, 0)[:2]
+                    row = table.setdefault((i, j), {}) if j else memo.setdefault(i, {})
+                    words.append((c, i, j, row))
         for exps in by_degree[d]:
             checked += 1
-            if not adem_instance_holds(a, a_exp, b_exp, exps):
+            # Each (a, b, d) is one instance per monomial, so the left side
+            # is never shared: it is composed into a fresh dict (b >= 1).
+            diff = compose(a_exp, b_exp, exps)
+            for c, i, j, row in words:
+                image = row.get(exps)
+                if image is None:
+                    image = row[exps] = compose(i, j, exps)
+                for e, v in image.items():
+                    diff[e] = diff.get(e, 0) - c * v
+            if any(v % p for v in diff.values()):
                 failures.append(AdemFailure(a_exp, b_exp, exps, d))
     return ActionValidation(
         ok=not unstable and not failures,

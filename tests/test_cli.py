@@ -261,6 +261,14 @@ def test_max_dn_command(capsys, s3_file):
     assert doc["search_bounds"]["incomplete_theta_degrees"] == []
 
 
+def test_max_dn_without_generators(capsys, tmp_path):
+    path = tmp_path / "empty.alg"
+    path.write_text("p = 5\n")
+    code, out = run(capsys, "max-dn", str(path))
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["value"] == 4
+
+
 def test_check_propa_failure(capsys, s3_file):
     code, out = run(capsys, "check-propA", "--n", "2", s3_file)
     assert code == 1

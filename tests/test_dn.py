@@ -240,6 +240,28 @@ def test_max_order_pinned_on_degree_two_generators(p, ms, expected):
     assert max_dn(a) == expected
 
 
+def test_slot_columns_match_the_action(pool):
+    # Each column is theta on one monomial of A^e, in the monomial basis of A^d.
+    config = DnSearchConfig()
+    slots = 0
+    for a in pool:
+        for d in a.nonzero_degrees():
+            for slot in _build_slots(a, d, config, set()):
+                monos = a.basis_of_degree(slot.source_degree)
+                assert len(slot.columns) == len(monos)
+                for col, m in zip(slot.columns, monos):
+                    assert col == a.coords(a.act(slot.theta, a.element({m: 1})), d)
+                slots += 1
+    assert slots
+
+
+def test_max_order_without_generators():
+    # No generator leaves no case, so every order passes, as at each check_dn.
+    a = AlgebraPresentation(5, [])
+    assert max_dn(a) == 4
+    assert all(check_dn(a, n).ok for n in range(1, 6))
+
+
 @pytest.mark.parametrize("field,value", [("max_support", 0), ("max_support", -1),
                                          ("theta_dim_bound", -1)])
 def test_config_rejects_out_of_range_bounds(field, value):

@@ -186,6 +186,53 @@ def test_partition_validation():
         GammaFacet(OrderedPartition(3, ((1, 2, 3),)))
 
 
+def reference_partition_error(n, blocks):
+    """The message of the first failing partition check, one at a time."""
+    seen = set()
+    for block in blocks:
+        if not block:
+            return "blocks must be nonempty"
+        if list(block) != sorted(block):
+            return "blocks must be increasing"
+        seen.update(block)
+    if len(seen) != sum(len(b) for b in blocks) or seen != set(range(1, n + 1)):
+        return "blocks must partition {1..n}"
+    return None
+
+
+def test_partition_checks_keep_verdicts_and_messages():
+    cases = [(n, part.blocks) for n in range(1, 5) for part in ordered_partitions(n, 1)]
+    cases += [
+        (3, ((1, 2), (2, 3))),        # a letter twice
+        (3, ((2, 1), (3,))),          # a decreasing block
+        (3, ((1, 1), (2, 3))),        # a repeat inside a block
+        (3, ((1, 2), (), (3,))),      # an empty block
+        (3, ((3, 2), ())),            # decreasing before empty
+        (3, ((1, 2),)),               # a letter missing
+        (3, ((1, 2), (3, 4))),        # a letter beyond n
+        (2, ((0, 1), (2,))),          # a letter below 1
+        (3, ([1, 3], [2])),           # lists as blocks
+        (3, ([3, 1], [2])),
+        (0, ()),
+        (2, (("1",), ("2",))),        # not integers
+    ]
+    for n, blocks in cases:
+        want = reference_partition_error(n, blocks)
+        if want is None:
+            assert OrderedPartition(n, blocks).blocks == blocks
+        else:
+            with pytest.raises(ValueError) as err:
+                OrderedPartition(n, blocks)
+            assert str(err.value) == want, (n, blocks)
+
+
+def test_permutation_check_accepts_lists():
+    # A list is unhashable, so it is checked without the per-tuple cache.
+    assert GammaVertex([2, 1], (LEAF, LEAF)).n == 2
+    with pytest.raises(ValueError, match="permutation"):
+        GammaVertex([1, 1], (LEAF, LEAF))
+
+
 # ---------------------------------------------------------------------------
 # vertices
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,6 +7,8 @@ import pytest
 from dnalg.fp import FpMatrix, Subspace
 from dnalg.steenrod import SteenrodElement, SteenrodMonomial, multiply
 from dnalg.truncated import (
+    ActionValidation,
+    AdemFailure,
     AlgebraError,
     AlgebraPresentation,
     adem_instance_holds,
@@ -256,6 +259,61 @@ def test_adem_instance_helper_matches_validate():
     assert adem_instance_holds(a, 1, 1, (1,))
     bad = AlgebraPresentation(5, [("y", 2)], {("y", 1): {(3,): 1}})
     assert not adem_instance_holds(bad, 1, 1, (1,))
+
+
+def reference_validate(a):
+    """``validate_action`` as a plain loop: the unstable checks, then
+    ``adem_instance_holds`` on every instance times every basis monomial."""
+    p = a.p
+    unstable = []
+    for i, m in enumerate(a.half_degrees):
+        name = a.names[i]
+        if a.action_entry(i, m) != a.gen(i) ** p:
+            unstable.append(f"P^{m} {name} != {name}^{p}")
+        for j, k in a.stored_entries():
+            if j == i and k > m and not a.action_entry(i, k).is_zero():
+                unstable.append(f"P^{k} {name} must vanish (k > {m})")
+    failures = []
+    checked = 0
+    degrees = tuple(a.nonzero_degrees())
+    for a_exp, b_exp, d in adem_instances(p, degrees, a.top_degree):
+        for exps in a.basis_of_degree(d):
+            checked += 1
+            if not adem_instance_holds(a, a_exp, b_exp, exps):
+                failures.append(AdemFailure(a_exp, b_exp, exps, d))
+    return ActionValidation(
+        ok=not unstable and not failures,
+        unstable_failures=tuple(unstable),
+        adem_failures=tuple(failures),
+        instances_checked=checked,
+    )
+
+
+def perturbed(rng, a):
+    """A with every coefficient of every stored entry, on the basis of its
+    degree, drawn again uniformly from F_p."""
+    p = a.p
+    action = {}
+    for i, k in a.stored_entries():
+        basis = a.basis_of_degree(2 * a.half_degrees[i] + 2 * k * (p - 1))
+        action[(a.names[i], k)] = {e: rng.randrange(p) for e in basis}
+    return AlgebraPresentation(p, list(zip(a.names, a.half_degrees)), action)
+
+
+def test_validate_matches_reference_loop(pool):
+    rng = random.Random(909)
+    models = list(pool) + [
+        model
+        for p, l in ((3, 4), (5, 3), (7, 3))
+        for model in derived(p, (1,) * l)
+    ]
+    models += [perturbed(rng, a) for a in pool]
+    failures = 0
+    for a in models:
+        got = dataclasses.asdict(validate_action(a))
+        assert got == dataclasses.asdict(reference_validate(a)), a
+        failures += len(got["adem_failures"])
+    assert failures > 100  # the perturbations exercise the failure order
 
 
 def filtered_adem_instances(p, degrees, top):
