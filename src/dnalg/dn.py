@@ -265,7 +265,6 @@ def _build_slots(a, d, config, incomplete):
     p = a.p
     basis_d = a.basis_of_degree(d)
     dim = len(basis_d)
-    index = {m: r for r, m in enumerate(basis_d)}
     order = sorted(range(dim), key=lambda r: sum(basis_d[r]))
     slots: list[_Slot] = []
     seen_matrices: set = set()
@@ -285,15 +284,7 @@ def _build_slots(a, d, config, incomplete):
         combos, truncated = _monic_combinations(p, words, config.theta_dim_bound)
         if truncated:
             incomplete.add(q)
-        mats = []
-        for w in words:
-            cols = []
-            for m in basis_e:
-                col = [0] * dim
-                for mono, c in a._act_word_terms(w, {m: 1}).items():
-                    col[index[mono]] = c
-                cols.append(tuple(col))
-            mats.append(cols)
+        mats = [[a.word_coords(w, m, d) for m in basis_e] for w in words]
         for support, coeffs in combos:
             cols = [
                 tuple(

@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import lt
+from operator import le
 
 LEAF = None  # leaves of planar trees
 
@@ -171,17 +171,6 @@ def delete_leaf(tree, index: int):
 # ordered partitions and facets
 
 
-def _is_ordered_partition(n: int, blocks) -> bool:
-    """Whether the blocks hold 1..n once each and every block is nonempty
-    and strictly increasing: one sorted comparison, then one pass per block."""
-    if sorted(itertools.chain.from_iterable(blocks)) != list(range(1, n + 1)):
-        return False
-    for block in blocks:
-        if not block or not all(map(lt, block, block[1:])):
-            return False
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class OrderedPartition:
     """An ordered partition of {1..n}: disjoint increasing blocks covering it."""
@@ -190,22 +179,17 @@ class OrderedPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        try:
-            if _is_ordered_partition(self.n, self.blocks):
-                return
-        except TypeError:
-            pass
-        # Not a partition: the checks one at a time, for the first message.
+        # One pass that raises in the order of the messages.
         seen: set[int] = set()
+        size = 0
         for block in self.blocks:
             if not block:
                 raise ValueError("blocks must be nonempty")
-            if list(block) != sorted(block):
+            if not all(map(le, block, block[1:])):
                 raise ValueError("blocks must be increasing")
             seen.update(block)
-        if len(seen) != sum(len(b) for b in self.blocks) or seen != set(
-            range(1, self.n + 1)
-        ):
+            size += len(block)
+        if size != len(seen) or seen != set(range(1, self.n + 1)):
             raise ValueError("blocks must partition {1..n}")
 
     @property
@@ -313,7 +297,7 @@ class GammaVertex:
         try:
             is_perm = _is_permutation(self.perm)
         except TypeError:  # unhashable, so checked without the cache
-            is_perm = sorted(self.perm) == list(range(1, n + 1))
+            is_perm = _is_permutation.__wrapped__(self.perm)
         if not is_perm:
             raise ValueError("perm must be a permutation of {1..n}")
         try:

@@ -324,8 +324,8 @@ class RangeCheckResult:
 
 def _q_rank(a: AlgebraPresentation, s: int, e: int) -> tuple[int, int, int]:
     """(dim source, dim target, rank) of P^s on indecomposables from degree e."""
-    ds = a._q_dims.get(e, 0)
-    dt = a._q_dims.get(e + 2 * s * (a.p - 1), 0)
+    ds = a.half_degrees.count(e // 2)  # e is even: dim Q^e counts generators
+    dt = a.half_degrees.count(e // 2 + s * (a.p - 1))
     if not ds or not dt:
         return ds, dt, 0
     return ds, dt, induced_q_map(a, SteenrodElement.power(a.p, s), e).rank()

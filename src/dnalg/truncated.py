@@ -176,15 +176,13 @@ class AlgebraPresentation:
             raise AlgebraError("duplicate generator name")
         self.names: tuple[str, ...] = tuple(names)
         self.half_degrees: tuple[int, ...] = tuple(m for _, m in generators)
-        # degree d -> how many generators have degree d, i.e. dim Q^d
-        self._q_dims: dict[int, int] = {}
-        for m in self.half_degrees:
-            self._q_dims[2 * m] = self._q_dims.get(2 * m, 0) + 1
         self._index = {name: i for i, name in enumerate(names)}
         self._action: dict[tuple[int, int], dict[Exponents, int]] = {}
         self.autofilled: tuple[tuple[str, int], ...] = ()
         self._basis_buckets: dict[int, list[Exponents]] | None = None
         self._length_counts: dict[int, tuple[int, ...]] = {}
+        # degree d -> {monomial: its row in the coordinates of degree d}
+        self._basis_index: dict[int, dict[Exponents, int]] = {}
         # power index k -> {monomial: P^k(monomial)}; see the module docstring
         self._power_memo: dict[int, dict[Exponents, dict[Exponents, int]]] = {}
 
@@ -289,13 +287,29 @@ class AlgebraPresentation:
 
     def coords(self, x: AlgebraElement, d: int) -> tuple[int, ...]:
         """Coordinates of a degree-d element in the monomial basis."""
-        basis = self.basis_of_degree(d)
-        index = {e: i for i, e in enumerate(basis)}
-        v = [0] * len(basis)
-        for exps, c in x.terms.items():
-            if self.monomial_degree(exps) != d:
+        return self._coords_of_terms(x.terms, d)
+
+    def word_coords(
+        self, mono: SteenrodMonomial, exps: Exponents, d: int
+    ) -> tuple[int, ...]:
+        """Coordinates of a word applied to one monomial, landing in degree
+        d: ``coords(act_word(mono, element({exps: 1})), d)`` without
+        building either element."""
+        if mono.p != self.p:
+            raise AlgebraError("prime mismatch")
+        return self._coords_of_terms(self._act_word_terms(mono, {exps: 1}), d)
+
+    def _coords_of_terms(self, terms: dict, d: int) -> tuple[int, ...]:
+        index = self._basis_index.get(d)
+        if index is None:
+            basis = self._degree_buckets().get(d, ())
+            index = self._basis_index[d] = {e: r for r, e in enumerate(basis)}
+        v = [0] * len(index)
+        for exps, c in terms.items():
+            r = index.get(exps)
+            if r is None:
                 raise AlgebraError("element is not concentrated in the given degree")
-            v[index[exps]] = c
+            v[r] = c
         return tuple(v)
 
     def from_coords(self, v, d: int) -> AlgebraElement:

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from dnalg.fp import FpMatrix, Subspace
-from dnalg.steenrod import SteenrodElement, SteenrodMonomial, multiply
+from dnalg.steenrod import (
+    SteenrodElement,
+    SteenrodMonomial,
+    basis_of_degree as steenrod_basis,
+    multiply,
+)
 from dnalg.truncated import (
     ActionValidation,
     AdemFailure,
@@ -466,6 +471,20 @@ def test_coords_requires_concentrated_degree():
     # lexicographic basis of degree 8: [(0,1), (2,0)] = [y8, y4^2]
     assert a.coords(a.gen(1), 8) == (1, 0)
     assert a.from_coords((1, 0), 8) == a.gen(1)
+
+
+def test_word_coords_matches_coords_of_act_word():
+    a = s3_model(3, 2)
+    for d in a.nonzero_degrees():
+        for e in range(2, d, 2):
+            for w in steenrod_basis(3, d - e, top=a.top_degree):
+                for m in a.basis_of_degree(e):
+                    want = a.coords(a.act_word(w, a.element({m: 1})), d)
+                    assert a.word_coords(w, m, d) == want
+    with pytest.raises(AlgebraError):
+        a.word_coords(SteenrodMonomial(5, (0, 0), (1,)), (1,), 8)
+    with pytest.raises(AlgebraError):  # P^2 y = y^3 lands in degree 12
+        a.word_coords(SteenrodMonomial(3, (0, 0), (2,)), (1,), 6)
 
 
 def test_autofill_records_forced_entries():
