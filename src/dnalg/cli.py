@@ -29,7 +29,7 @@ import re
 import sys
 
 from . import __version__
-from .dn import DnSearchConfig, _max_dn_report, check_dn
+from .dn import DnSearchConfig, check_dn, max_dn_report
 from .polytopes import boundary_census
 from .steenrod import SteenrodParseError, parse_element, render_element
 from .theorems import (
@@ -311,11 +311,15 @@ def _dn_config(args) -> DnSearchConfig:
         raise PresentationError(str(exc))
 
 
+def _require_order(a: AlgebraPresentation, n: int) -> None:
+    if not 1 <= n <= a.p:
+        raise PresentationError(f"order must satisfy 1 <= n <= p, got n = {n} at p = {a.p}")
+
+
 def _cmd_check_dn(args) -> tuple[dict, int]:
     a, digest = _load(args.file)
     config = _dn_config(args)
-    if not 1 <= args.n <= a.p:
-        raise PresentationError(f"order must satisfy 1 <= n <= p, got n = {args.n} at p = {a.p}")
+    _require_order(a, args.n)
     report = _report(
         "check-dn", digest,
         {"n": args.n, "max_support": args.max_support,
@@ -341,7 +345,7 @@ def _cmd_max_dn(args) -> tuple[dict, int]:
     )
     _autofill_note(report, a)
     _require_valid(a)
-    passing = _max_dn_report(a, config)
+    passing = max_dn_report(a, config)
     report["verdicts"] = [{"check": "max-order", "value": passing.n}]
     report["search_bounds"] = passing.search_bounds()
     report["overall"] = True
@@ -350,6 +354,7 @@ def _cmd_max_dn(args) -> tuple[dict, int]:
 
 def _cmd_check_propa(args) -> tuple[dict, int]:
     a, digest = _load(args.file)
+    _require_order(a, args.n)
     report = _report("check-propA", digest, {"n": args.n})
     _autofill_note(report, a)
     _require_valid(a)
@@ -373,9 +378,7 @@ def _cmd_check_thma(args) -> tuple[dict, int]:
     _autofill_note(report, a)
     _require_valid(a)
     result = check_thm_a(a)
-    report["verdicts"] = [
-        v.to_dict() for v in result.surjectivity + result.vanishing + result.isomorphism
-    ]
+    report["verdicts"] = [v.to_dict() for v in result.verdicts]
     report["witnesses"] = [v.to_dict() for v in result.failures()]
     report["overall"] = result.ok
     return report, 0 if result.ok else 1

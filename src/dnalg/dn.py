@@ -156,8 +156,8 @@ def check_instance(inst: DnInstance) -> DnVerdict:
     else:
         mat = FpMatrix.zeros(p, ncols_amb, 0)
     target = a.coords(total, d)
-    result = solve(mat, target)
-    if result.solution is None:
+    solution = solve(mat, target)
+    if solution is None:
         image = Subspace.from_vectors(p, ncols_amb, [list(c) for c in columns])
         return DnVerdict(
             "violated",
@@ -174,7 +174,7 @@ def check_instance(inst: DnInstance) -> DnVerdict:
     for _, dec_monos in col_groups:
         nu = a.zero()
         for mono in dec_monos:
-            nu = nu + a.element({mono: result.solution[pos]})
+            nu = nu + a.element({mono: solution[pos]})
             pos += 1
         witness.append(nu)
     return DnVerdict("satisfied-with-witness", inst, witness=tuple(witness))
@@ -333,7 +333,7 @@ def _violation(a, d, n, sel) -> DnVerdict:
     ]
     rhs = Subspace.from_vectors(p, dim, corrections) + filtration(a, n + 1, d)
     vec = next(v for v in inter.basis if not rhs.contains(v))
-    sol = solve(FpMatrix.from_rows(p, columns, dim).transpose(), vec).solution
+    sol = solve(FpMatrix.from_rows(p, columns, dim).transpose(), vec)
     assert sol is not None
     pairs = []
     pos = 0
@@ -454,7 +454,7 @@ def check_dn(
     return _sweep(a, config or DnSearchConfig(), n, n)
 
 
-def _max_dn_report(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> DnReport:
+def max_dn_report(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> DnReport:
     """The check_dn report of the largest n in [1, p-1] that passes, from
     one sweep.  D^{n+1} shrinks as n grows, so the orders a case passes
     form a prefix; the answer is the least over the cases of the largest
@@ -466,5 +466,5 @@ def _max_dn_report(a: AlgebraPresentation, config: DnSearchConfig | None = None)
 
 def max_dn(a: AlgebraPresentation, config: DnSearchConfig | None = None) -> int:
     """Largest n in [1, p-1] passing check_dn, from the one sweep of
-    ``_max_dn_report``."""
-    return _max_dn_report(a, config).n
+    ``max_dn_report``."""
+    return max_dn_report(a, config).n

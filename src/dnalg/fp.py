@@ -158,28 +158,22 @@ def is_partial_permutation(m: FpMatrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    solution: Vector | None
-    nullspace: "Subspace"
-
-
-def solve(m: FpMatrix, b) -> SolveResult:
-    """Particular solution of m x = b (or None) plus the full nullspace."""
+def solve(m: FpMatrix, b) -> Vector | None:
+    """A particular solution of m x = b, or None when there is none."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     p = m.modulus
     aug = [list(row) + [int(v) % p] for row, v in zip(m.entries, b)]
     if not aug:
         # No equations: every vector solves.
-        return SolveResult(tuple([0] * m.cols), Subspace.full(p, m.cols))
+        return tuple([0] * m.cols)
     rows, pivots = _rref(aug, p)
     if m.cols in pivots:
-        return SolveResult(None, nullspace(m))
+        return None
     x = [0] * m.cols
     for r, c in enumerate(pivots):
         x[c] = rows[r][m.cols]
-    return SolveResult(tuple(x), nullspace(m))
+    return tuple(x)
 
 
 def nullspace(m: FpMatrix) -> "Subspace":
@@ -221,12 +215,6 @@ class Subspace:
     @classmethod
     def zero(cls, p: int, ambient_dim: int) -> "Subspace":
         return cls.from_vectors(p, ambient_dim, [])
-
-    @classmethod
-    def full(cls, p: int, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(
-            p, ambient_dim, FpMatrix.identity(p, ambient_dim).entries
-        )
 
     @property
     def dim(self) -> int:

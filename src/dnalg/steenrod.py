@@ -103,6 +103,20 @@ class SteenrodMonomial:
         return (self.degree(), len(self.pows), self.pows, self.eps)
 
 
+@functools.lru_cache(maxsize=None)
+def adem_relation(p: int, a: int, b: int) -> tuple[tuple[int, int, int], ...]:
+    """The Adem relation P^a P^b = sum c * P^s P^t for 0 < a < p*b, as
+    (c, s, t) triples with c nonzero mod p, each word admissible and read as
+    P^s alone when t = 0; in ``adem_rewrite``'s order (t = 0, then t
+    descending)."""
+    out = []
+    for t in (0, *range(a // p, 0, -1)):
+        c = binom_mod((p - 1) * (b - t) - 1, a - p * t, p)
+        if c:
+            out.append((c if (a + t) % 2 == 0 else p - c, a + b - t, t))
+    return tuple(out)
+
+
 def _adem_expand(m: SteenrodMonomial, i: int) -> list[tuple[int, SteenrodMonomial]]:
     """One Adem rewriting step on the inadmissible pair at pows index i."""
     p = m.p
@@ -115,15 +129,11 @@ def _adem_expand(m: SteenrodMonomial, i: int) -> list[tuple[int, SteenrodMonomia
             out.append((coeff, SteenrodMonomial(p, eps, pows)))
 
     if e == 0:
-        for t in range(a // p + 1):
-            c = binom_mod((p - 1) * (b - t) - 1, a - p * t, p)
-            c = c if (a + t) % 2 == 0 else -c
-            if not c:
-                continue
+        for c, s, t in adem_relation(p, a, b):
             if t:
-                emit(c, m.eps, m.pows[:i] + (a + b - t, t) + m.pows[i + 2:])
+                emit(c, m.eps, m.pows[:i] + (s, t) + m.pows[i + 2:])
             else:
-                emit(c, m.eps[: i + 1] + m.eps[i + 2:], m.pows[:i] + (a + b,) + m.pows[i + 2:])
+                emit(c, m.eps[: i + 1] + m.eps[i + 2:], m.pows[:i] + (s,) + m.pows[i + 2:])
     else:
         for t in range(a // p + 1):
             sign = 1 if (a + t) % 2 == 0 else -1

@@ -28,13 +28,12 @@ from .fp import (
     solve,
     solve_polynomial_system,
 )
-from .steenrod import SteenrodElement
+from .steenrod import SteenrodElement, adem_relation
 from .truncated import (
     AlgebraElement,
     AlgebraError,
     AlgebraPresentation,
     Exponents,
-    _adem_normal_form,
     adem_instance_holds,
     adem_instances,
     indecomposables,
@@ -88,7 +87,7 @@ def transport(
             if mat is None:
                 mat = substitution_matrix(a, images, d)
                 inverses[d] = mat
-            coords = solve(mat, coords).solution
+            coords = solve(mat, coords)
             if coords is None:
                 raise AlgebraError("substitution is not invertible")
         return {e: c for e, c in zip(a.basis_of_degree(d), coords) if c}
@@ -145,26 +144,6 @@ def p1_normal_form_ok(a: AlgebraPresentation) -> tuple[bool, list[str]]:
     return (not problems, problems)
 
 
-def _compose_images(
-    a: AlgebraPresentation,
-    first: list[AlgebraElement],
-    second: list[AlgebraElement],
-) -> list[AlgebraElement]:
-    """Substitute ``first`` (elements of a) into each element of ``second``,
-    read off by exponent vectors; composes two generator substitutions."""
-    out = []
-    for img in second:
-        total = a.zero()
-        for exps, c in img.terms.items():
-            term = a.one().scale(c)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * first[i]
-            total = total + term
-        out.append(total)
-    return out
-
-
 def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
     """Choose generators so that P^1 of each is decomposable or exactly
     another generator, injectively.
@@ -172,9 +151,11 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
     Step 1 runs the interval decomposition on the chains of induced maps on
     indecomposables (one chain per degree class modulo 2(p-1)), which makes
     every induced matrix a 0/1 partial permutation.  Step 2 absorbs the
-    decomposable remainders by replacing each hit generator y_j with the
-    full value P^1(y_i); processing degrees upward keeps the replacement
-    triangular and cascades correctly.
+    decomposable remainders.  Every new generator is an element of ``a``:
+    going up in degree, the image of a generator y_j hit by y_i becomes P^1
+    of the image of y_i (by naturality, P^1 of the new y_i), so the
+    replacements cascade.  The presentation is ``transport(a, images)``,
+    one substitution at the end.
     """
     p = a.p
     step = 2 * (p - 1)
@@ -204,38 +185,25 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
         q = indecomposables(a, d)
         row = new_basis[d].row(q.gen_indices.index(i))
         images.append(q.lift(row))
-    current = transport(a, images)
-    total_images = images
 
-    # Absorb decomposable remainders, lowest degrees first.
-    order = sorted(range(a.l), key=lambda i: (a.half_degrees[i], i))
-    for i in order:
-        w = current.act_power(1, current.gen(i))
-        if w.is_zero() or w.in_filtration(2):
+    # Absorb decomposable remainders, lowest degrees first (generators are
+    # listed by ascending half-degree, so images[i] is final when reached).
+    targets: dict[int, int] = {}
+    for i in range(a.l):
+        w = a.act_power(1, images[i])
+        if w.in_filtration(2):  # zero or decomposable
             continue
-        qt = indecomposables(current, w.degree())
-        coords = qt.project(w)
-        nonzero = [j for j, c in enumerate(coords) if c]
-        assert len(nonzero) == 1 and coords[nonzero[0]] == 1
-        j = qt.gen_indices[nonzero[0]]
-        tail = w - current.gen(j)
-        if tail.is_zero():
-            continue
-        step_images = [
-            current.gen(t) if t != j else w for t in range(current.l)
-        ]
-        current = transport(current, step_images)
-        total_images = _compose_images(a, total_images, step_images)
+        # Step 1 makes the class of w exactly one new basis row.
+        q = indecomposables(a, w.degree())
+        j = q.gen_indices[new_basis[q.degree].entries.index(q.project(w))]
+        targets[i] = j
+        images[j] = w
+    normal = transport(a, images)
 
-    ok, problems = p1_normal_form_ok(current)
+    ok, problems = p1_normal_form_ok(normal)
     if not ok:
         raise AlgebraError("normalization failed: " + "; ".join(problems))
-    targets: dict[int, int] = {}
-    for i in range(current.l):
-        w = current.act_power(1, current.gen(i))
-        if not w.is_zero() and not w.in_filtration(2):
-            targets[i] = w.monomials()[0][0].index(1)
-    return NormalizedPresentation(current, tuple(total_images), targets)
+    return NormalizedPresentation(normal, tuple(images), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +219,10 @@ class PropAResult:
 
 def check_prop_a(norm: NormalizedPresentation | AlgebraPresentation, n: int) -> PropAResult:
     """Whenever P^1(y_i) contains a pure power y_j^t with 1 <= t <= n, some
-    generator must hit y_j exactly under P^1."""
+    generator must hit y_j exactly under P^1.  The order n must lie in 1..p."""
     a = norm.presentation if isinstance(norm, NormalizedPresentation) else norm
+    if not 1 <= n <= a.p:
+        raise AlgebraError("order must satisfy 1 <= n <= p")
     ok_targets = set()
     for k in range(a.l):
         w = a.act_power(1, a.gen(k))
@@ -520,9 +490,8 @@ def _adem_equations(a: AlgebraPresentation, blocks, instances) -> list[Poly]:
     equations = []
     for ae, be, exps in instances:
         diff: dict[Exponents, dict] = {}
-        # The Bockstein acts as zero in even degrees, so words with one drop.
         words = [((ae, be), 1)] + [
-            (w.pows, -c) for w, c in _adem_normal_form(p, ae, be) if not any(w.eps)
+            ((s, t) if t else (s,), -c) for c, s, t in adem_relation(p, ae, be)
         ]
         for pows, c in words:
             terms = {exps: {(): c}}

@@ -34,6 +34,7 @@ from .fp import FpMatrix, Subspace, check_odd_prime
 from .steenrod import (
     SteenrodElement,
     SteenrodMonomial,
+    adem_relation,
     adem_rewrite,
 )
 
@@ -518,18 +519,15 @@ def validate_action(a: AlgebraPresentation) -> ActionValidation:
     degrees = a.nonzero_degrees()
     by_degree = {d: a.basis_of_degree(d) for d in degrees}
     # (a, b) -> (c, i, j, table row) per word P^i P^j of the normal form of
-    # P^a P^b, with P^s read as P^s P^0.  The Bockstein acts as zero here,
-    # so words with one drop.
+    # P^a P^b, with P^s read as P^s P^0.
     words_of: dict[tuple[int, int], list] = {}
     for a_exp, b_exp, d in adem_instances(p, tuple(degrees), a.top_degree):
         words = words_of.get((a_exp, b_exp))
         if words is None:
             words = words_of[(a_exp, b_exp)] = []
-            for w, c in _adem_normal_form(p, a_exp, b_exp):
-                if not any(w.eps):
-                    i, j = (*w.pows, 0)[:2]
-                    row = table.setdefault((i, j), {}) if j else memo.setdefault(i, {})
-                    words.append((c, i, j, row))
+            for c, i, j in adem_relation(p, a_exp, b_exp):
+                row = table.setdefault((i, j), {}) if j else memo.setdefault(i, {})
+                words.append((c, i, j, row))
         for exps in by_degree[d]:
             checked += 1
             # Each (a, b, d) is one instance per monomial, so the left side

@@ -143,6 +143,8 @@ def test_missing_file_exit_two(capsys):
         ["thmc", "--p", "3", "--dims", ""],          # empty list
         ["check-dn", "--n", "0", "{p5}"],            # order below 1
         ["check-dn", "--n", "9", "{p5}"],            # order above p = 5
+        ["check-propA", "--n", "0", "{p5}"],         # order below 1
+        ["check-propA", "--n", "6", "{p5}"],         # order above p = 5
         ["check-dn", "--n", "3", "--max-support", "0", "{p5}"],  # no case to check
         ["check-dn", "--n", "3", "--max-support", "-1", "{p5}"],
         ["check-dn", "--n", "3", "--theta-dim-bound", "-1", "{p5}"],

@@ -7,10 +7,10 @@ from dnalg.dn import (
     DnInstance,
     DnSearchConfig,
     _build_slots,
-    _max_dn_report,
     check_dn,
     check_instance,
     max_dn,
+    max_dn_report,
 )
 from dnalg.steenrod import SteenrodElement, basis_of_degree
 from dnalg.truncated import AlgebraError, AlgebraPresentation, filtration
@@ -228,7 +228,7 @@ def test_sweep_report_equals_ascending_scan(pool, config):
         for a in derived(p, ms)
     ]
     for a in list(pool) + extra:
-        assert _max_dn_report(a, config) == ascending_scan(a, config)
+        assert max_dn_report(a, config) == ascending_scan(a, config)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from dnalg.steenrod import (
     SteenrodElement,
     SteenrodMonomial,
+    adem_relation,
     adem_rewrite,
     basis_of_degree,
     binom_mod,
@@ -125,6 +126,27 @@ def test_inadmissible_always_rewrites():
                 w = word(p, a, b)
                 nf = adem_rewrite(w)
                 assert w not in nf.terms
+
+
+def test_adem_relation_is_the_normal_form_of_each_pair():
+    # 3 060 pairs (p, a, b) with 0 < a < p*b; no normal form holds a Bockstein.
+    import math
+
+    for p in (3, 5, 7, 11):
+        for b in range(1, 16):
+            for a in range(1, p * b):
+                got = adem_relation(p, a, b)
+                nf = adem_rewrite(word(p, a, b)).terms.items()
+                assert not any(any(w.eps) for w, _ in nf)
+                assert got == tuple((c, *w.pows, 0)[:3] for w, c in nf)
+                # the closed Adem sum, with binomials from math.comb
+                closed = {}
+                for t in range(a // p + 1):
+                    n = (p - 1) * (b - t) - 1
+                    c = (-1) ** (a + t) * math.comb(n, a - p * t) % p if n >= 0 else 0
+                    if c:
+                        closed[(a + b - t, t)] = c
+                assert {(s, t): c for c, s, t in got} == closed
 
 
 def _random_word(rng, p, max_len):

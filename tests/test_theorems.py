@@ -25,6 +25,7 @@ from dnalg.theorems import (
     transport,
 )
 from dnalg.truncated import (
+    AlgebraError,
     AlgebraPresentation,
     induced_q_map,
     render_polynomial,
@@ -118,6 +119,22 @@ def test_normalize_random_tables_satisfy_predicate():
             assert a.dim(d) == norm.presentation.dim(d)
 
 
+def test_normalize_presentation_is_the_transport_of_its_images():
+    # The images returned reproduce the presentation returned, on valid
+    # and invalid tables alike.
+    rng = random.Random(47)
+    shapes = [(3, (2, 2, 4)), (3, (2, 4, 6)), (3, (2, 2, 4, 4)), (5, (2, 2, 6))]
+    failures = 0
+    for n in range(50):
+        p, ms = shapes[n % len(shapes)]
+        a = random_table(rng, p, ms)
+        norm = normalize_generators(a)
+        failures += render_presentation(norm.presentation) != render_presentation(
+            transport(a, list(norm.images))
+        )
+    assert failures == 0
+
+
 def test_normalize_preserves_composite_q_ranks():
     rng = random.Random(43)
     p1 = SteenrodElement.power(3, 1)
@@ -173,7 +190,7 @@ def _transport_by_solve(a, images):
             if value.is_zero():
                 action[(a.names[i], k)] = {}
                 continue
-            sol = solve(substitution_matrix(a, images, d), a.coords(value, d)).solution
+            sol = solve(substitution_matrix(a, images, d), a.coords(value, d))
             action[(a.names[i], k)] = {
                 e: c for e, c in zip(a.basis_of_degree(d), sol) if c
             }
@@ -230,6 +247,13 @@ def test_prop_a_order_restriction():
     a = s3_model(3, 2)
     assert check_prop_a(a, 1).ok
     assert not check_prop_a(a, 2).ok
+
+
+@pytest.mark.parametrize("n", [0, -3, 4])
+def test_prop_a_rejects_order_outside_one_to_p(n):
+    # A meaningless order must not pass vacuously with nothing checked.
+    with pytest.raises(AlgebraError, match="1 <= n <= p"):
+        check_prop_a(s3_model(3, 2), n)
 
 
 # ---------------------------------------------------------------------------
