@@ -143,21 +143,6 @@ class FpMatrix:
         return all(all(x == 0 for x in row) for row in self.entries)
 
 
-def is_partial_permutation(m: FpMatrix) -> bool:
-    """Each column has at most one nonzero entry, equal to 1, and distinct
-    nonzero columns hit distinct rows."""
-    used_rows = set()
-    for j in range(m.cols):
-        col = m.column(j)
-        nz = [i for i, x in enumerate(col) if x]
-        if not nz:
-            continue
-        if len(nz) > 1 or col[nz[0]] != 1 or nz[0] in used_rows:
-            return False
-        used_rows.add(nz[0])
-    return True
-
-
 def solve(m: FpMatrix, b) -> Vector | None:
     """A particular solution of m x = b, or None when there is none."""
     if len(b) != m.rows:
@@ -174,20 +159,6 @@ def solve(m: FpMatrix, b) -> Vector | None:
     for r, c in enumerate(pivots):
         x[c] = rows[r][m.cols]
     return tuple(x)
-
-
-def nullspace(m: FpMatrix) -> "Subspace":
-    p = m.modulus
-    rows, pivots = _rref([list(r) for r in m.entries], p)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-rows[r][f]) % p
-        basis.append(v)
-    return Subspace.from_vectors(p, m.cols, basis)
 
 
 @dataclass(frozen=True)
@@ -420,11 +391,6 @@ def chain_interval_form(chain: ChainRep) -> IntervalForm:
         new_maps.append(FpMatrix.from_rows(p, mat, chain.dims[i]))
     intervals = tuple((th.birth, th.death) for th in threads)
     return IntervalForm(bases, tuple(new_maps), intervals)
-
-
-def all_vectors(p: int, n: int):
-    """Iterate every vector of F_p^n (test oracles; exponential)."""
-    return itertools.product(range(p), repeat=n)
 
 
 # ---------------------------------------------------------------------------

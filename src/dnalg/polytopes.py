@@ -21,10 +21,14 @@ Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
 tuples: ``planar_trees``, ``binary_trees``, ``_binary_leaves`` (the
 binary-tree check every ``GammaVertex`` runs) and ``delete_leaf``, and the
 permutation check of ``GammaVertex`` is cached per permutation tuple in
-``_is_permutation``.  They are unbounded, but there are only Catalan-many
-trees per leaf count and n! permutations of n letters.  The
-benchmark empties every functools cache in dnalg's namespaces before each
-job, so its timings include filling them.
+``_is_permutation``.  Facet vertices are cached per facet type in
+``_type_vertices``: by the product decomposition, the vertices of a facet
+depend on its partition only through the type, up to renaming letters, so
+each facet reads its type's grafted vertices and renames the letters block
+by block.  The caches are unbounded, but there are only Catalan-many
+trees per leaf count, n! permutations of n letters and 2^(n-1) - 1 facet
+types on n letters.  The benchmark empties every functools cache in
+dnalg's namespaces before each job, so its timings include filling them.
 """
 
 from __future__ import annotations
@@ -421,15 +425,31 @@ def _graft_vertex(blocks, ktree, vertices) -> GammaVertex:
     return GammaVertex(perm, graft(ktree, [v.tree for v in vertices]))
 
 
-def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:
-    """All vertices of a facet, via the product decomposition."""
-    m, types = facet.decomposition
-    blocks = facet.partition.blocks
+@lru_cache(maxsize=None)
+def _type_vertices(types: tuple[int, ...]) -> tuple:
+    """The vertices of a facet of the given type, as (positions, tree) pairs:
+    the vertex's permutation lists the facet's letters, read block by block,
+    at these positions.  In the order of ``facet_vertices``, each tree
+    grafted once."""
+    offsets = list(itertools.accumulate(types, initial=0))
     factors = [enumerate_vertices(t) for t in types]
-    return [
-        _graft_vertex(blocks, ktree, combo)
-        for ktree in binary_trees(m)
+    return tuple(
+        (
+            tuple(off + i - 1 for off, v in zip(offsets, combo) for i in v.perm),
+            graft(ktree, [v.tree for v in combo]),
+        )
+        for ktree in binary_trees(len(types))
         for combo in itertools.product(*factors)
+    )
+
+
+def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:
+    """All vertices of a facet, via the product decomposition: its type's
+    vertices with the letters renamed."""
+    letters = tuple(itertools.chain.from_iterable(facet.partition.blocks))
+    return [
+        GammaVertex(tuple(map(letters.__getitem__, positions)), tree)
+        for positions, tree in _type_vertices(facet.partition.type)
     ]
 
 

@@ -66,9 +66,9 @@ def transport(
     """Re-coordinatize a presentation along generator images.
 
     ``images[i]`` must be a degree-preserving element of ``a`` whose linear
-    parts form an invertible change of generators; the new presentation has
-    the same names and degrees, with the action conjugated through the
-    substitution.
+    parts form an invertible change of generators, else ``AlgebraError`` is
+    raised; the new presentation has the same names and degrees, with the
+    action conjugated through the substitution.
     """
     for i, img in enumerate(images):
         if img.degree() != 2 * a.half_degrees[i]:
@@ -76,6 +76,15 @@ def transport(
     # When every image is its own generator, the substitution matrix is the
     # identity in every degree and coordinates pass through unsolved.
     identity = all(img == a.gen(i) for i, img in enumerate(images))
+    if not identity:
+        # The linear part must be invertible: in each generator degree, the
+        # images' coefficients on that degree's generators have full rank.
+        units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
+        for m in set(a.half_degrees):
+            gens = [i for i, h in enumerate(a.half_degrees) if h == m]
+            rows = [[images[i].coefficient(units[j]) for j in gens] for i in gens]
+            if FpMatrix.from_rows(a.p, rows).rank() < len(gens):
+                raise AlgebraError("substitution is not invertible")
     inverses: dict[int, FpMatrix] = {}
 
     def backward(x: AlgebraElement, d: int) -> dict[Exponents, int]:

@@ -461,7 +461,7 @@ def adem_instances(p: int, degrees: tuple[int, ...], top: int) -> tuple[tuple[in
     out = []
     for d in degrees:
         reach = (top - d) // (2 * (p - 1))  # the largest a + b that fits
-        for b in range(1, d // 2 + 1):
+        for b in range(1, min(d // 2, reach - 1) + 1):  # a >= 1 needs b < reach
             for a in range(1, min(p * b, reach - b + 1)):
                 out.append((a, b, d))
     return tuple(sorted(out, key=lambda t: (t[0] + t[1], t[2], t[0])))

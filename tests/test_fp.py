@@ -7,10 +7,7 @@ from dnalg.fp import (
     ChainRep,
     FpMatrix,
     Subspace,
-    all_vectors,
     chain_interval_form,
-    is_partial_permutation,
-    nullspace,
     poly_mul_into,
     poly_reduce,
     poly_substitute,
@@ -18,6 +15,8 @@ from dnalg.fp import (
     solve_polynomial_system,
     sum_and_intersection,
 )
+
+from fp_oracles import all_vectors, is_partial_permutation, nullspace
 
 
 def span_size(p, vectors, dim):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from dnalg.polytopes import (
     GammaVertex,
     OrderedPartition,
     TopFace,
+    _type_vertices,
     binary_trees,
     boundary_census,
     catalan,
@@ -293,10 +295,44 @@ def test_facet_vertex_counts_three_letters():
         assert facet.vertex_count() == 2
 
 
+def facets_of_each_type(n, seed):
+    """The first facet of each type on n letters, and a second facet of the
+    same type with the letters permuted at random."""
+    rng = random.Random(seed)
+    first = {}
+    for facet in enumerate_facets(n):
+        first.setdefault(facet.partition.type, facet)
+    out = []
+    for facet in first.values():
+        while True:
+            sigma = rng.sample(range(1, n + 1), n)
+            blocks = tuple(
+                tuple(sorted(sigma[x - 1] for x in b)) for b in facet.partition.blocks
+            )
+            if blocks != facet.partition.blocks:
+                break
+        out += [facet, GammaFacet(OrderedPartition(n, blocks))]
+    return out
+
+
 def test_facet_vertices_match_face_product_flattening_in_order():
     for n in (2, 3, 4, 5):
         for facet in enumerate_facets(n):
             assert facet_vertices(facet) == flattened_facet_vertices(facet)
+    # Gamma_6: every one of the 31 types, on two facets each, so the
+    # per-type vertices are relabelled at least once.
+    facets = facets_of_each_type(6, seed=61)
+    assert len(facets) == 62 and len({f.partition.type for f in facets}) == 31
+    for facet in facets:
+        assert facet_vertices(facet) == flattened_facet_vertices(facet)
+
+
+def test_facet_vertices_unchanged_by_a_cold_type_cache():
+    facets = enumerate_facets(4) + facets_of_each_type(5, seed=53)
+    warm = [facet_vertices(f) for f in facets]
+    _type_vertices.cache_clear()
+    assert [facet_vertices(f) for f in facets] == warm
+    assert _type_vertices.cache_info().currsize == 7 + 15
 
 
 def test_facet_vertex_count_two_two_type():

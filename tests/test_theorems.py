@@ -179,6 +179,24 @@ def test_transport_commutes_with_action():
             assert lhs == rhs
 
 
+def test_transport_rejects_singular_linear_part():
+    a = AlgebraPresentation(
+        3,
+        [("y2", 1), ("y4", 2)],
+        {("y2", 1): {(3, 0): 1}, ("y4", 1): {(0, 2): 1}, ("y4", 2): {(0, 3): 1}},
+    )
+    assert validate_action(a).ok
+    # y4 -> y2^2 leaves degree 4 without a generator, yet every transported
+    # value lies in the image of the substitution, so only the rank of the
+    # linear part shows that it is singular.
+    with pytest.raises(AlgebraError, match="not invertible"):
+        transport(a, [a.gen(0), a.gen(0) ** 2])
+    # A rescaled generator, and a generator plus a decomposable, keep the
+    # linear part invertible.
+    b = transport(a, [a.gen(0).scale(2), a.gen(1) + a.gen(0) ** 2])
+    assert validate_action(b).ok
+
+
 def _transport_by_solve(a, images):
     """The general transport: solve against the substitution matrix in
     every degree, whatever the images are."""
