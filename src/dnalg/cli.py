@@ -17,7 +17,9 @@ Reports are JSON documents with a fixed key order, so identical inputs and
 flags produce byte-identical output; the plain-text rendering is derived
 from the JSON document.  Exit status: 0 for success/PASS, 1 for a checker
 FAIL (with a witness in the report), 2 for input errors, 3 for an internal
-error (an unexpected exception, reported on stderr).
+error (an unexpected exception, reported on stderr).  Each command returns
+its report and a pass flag; ``main`` writes the flag as the report's last
+key ``overall`` and exits 0 exactly when it is true.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def _autofill_note(report: dict, a: AlgebraPresentation) -> None:
 # commands
 
 
-def _cmd_validate(args) -> tuple[dict, int]:
+def _cmd_validate(args) -> tuple[dict, bool]:
     a, digest = _load(args.file)
     report = _report("validate", digest, {})
     _autofill_note(report, a)
@@ -273,11 +275,10 @@ def _cmd_validate(args) -> tuple[dict, int]:
          ],
          "instances_checked": result.instances_checked},
     ]
-    report["overall"] = result.ok
-    return report, 0 if result.ok else 1
+    return report, result.ok
 
 
-def _cmd_normalize(args) -> tuple[dict, int]:
+def _cmd_normalize(args) -> tuple[dict, bool]:
     a, digest = _load(args.file)
     report = _report("normalize", digest, {})
     _autofill_note(report, a)
@@ -288,8 +289,7 @@ def _cmd_normalize(args) -> tuple[dict, int]:
     report["generator_images"] = [
         render_polynomial(img) for img in norm.images
     ]
-    report["overall"] = True
-    return report, 0
+    return report, True
 
 
 def _require_valid(a: AlgebraPresentation) -> None:
@@ -316,7 +316,7 @@ def _require_order(a: AlgebraPresentation, n: int) -> None:
         raise PresentationError(f"order must satisfy 1 <= n <= p, got n = {n} at p = {a.p}")
 
 
-def _cmd_check_dn(args) -> tuple[dict, int]:
+def _cmd_check_dn(args) -> tuple[dict, bool]:
     a, digest = _load(args.file)
     config = _dn_config(args)
     _require_order(a, args.n)
@@ -332,11 +332,10 @@ def _cmd_check_dn(args) -> tuple[dict, int]:
     if result.violation is not None:
         report["witnesses"] = [result.violation.to_dict()]
     report["search_bounds"] = result.search_bounds()
-    report["overall"] = result.ok
-    return report, 0 if result.ok else 1
+    return report, result.ok
 
 
-def _cmd_max_dn(args) -> tuple[dict, int]:
+def _cmd_max_dn(args) -> tuple[dict, bool]:
     a, digest = _load(args.file)
     config = _dn_config(args)
     report = _report(
@@ -348,11 +347,10 @@ def _cmd_max_dn(args) -> tuple[dict, int]:
     passing = max_dn_report(a, config)
     report["verdicts"] = [{"check": "max-order", "value": passing.n}]
     report["search_bounds"] = passing.search_bounds()
-    report["overall"] = True
-    return report, 0
+    return report, True
 
 
-def _cmd_check_propa(args) -> tuple[dict, int]:
+def _cmd_check_propa(args) -> tuple[dict, bool]:
     a, digest = _load(args.file)
     _require_order(a, args.n)
     report = _report("check-propA", digest, {"n": args.n})
@@ -368,11 +366,10 @@ def _cmd_check_propa(args) -> tuple[dict, int]:
              for i, j, t in result.failures
          ]}
     ]
-    report["overall"] = result.ok
-    return report, 0 if result.ok else 1
+    return report, result.ok
 
 
-def _cmd_check_thma(args) -> tuple[dict, int]:
+def _cmd_check_thma(args) -> tuple[dict, bool]:
     a, digest = _load(args.file)
     report = _report("check-thmA", digest, {})
     _autofill_note(report, a)
@@ -380,11 +377,10 @@ def _cmd_check_thma(args) -> tuple[dict, int]:
     result = check_thm_a(a)
     report["verdicts"] = [v.to_dict() for v in result.verdicts]
     report["witnesses"] = [v.to_dict() for v in result.failures()]
-    report["overall"] = result.ok
-    return report, 0 if result.ok else 1
+    return report, result.ok
 
 
-def _cmd_reduce(args) -> tuple[dict, int]:
+def _cmd_reduce(args) -> tuple[dict, bool]:
     a, digest = _load(args.file)
     report = _report("reduce", digest, {})
     _autofill_note(report, a)
@@ -397,16 +393,14 @@ def _cmd_reduce(args) -> tuple[dict, int]:
             "generator": exc.generator, "k": exc.k,
             "escaping_part": render_polynomial(exc.value),
         }]
-        report["overall"] = False
-        return report, 1
+        return report, False
     report["verdicts"] = [{"check": "ideal-closure", "ok": True}]
     report["presentation"] = render_presentation(reduced.presentation).splitlines()
     report["kept_generators"] = [a.names[i] for i in reduced.kept]
-    report["overall"] = True
-    return report, 0
+    return report, True
 
 
-def _cmd_derive(args) -> tuple[dict, int]:
+def _cmd_derive(args) -> tuple[dict, bool]:
     halfdegs = _int_list(args.halfdegs)
     digest = _digest(f"derive p={args.p} halfdegs={halfdegs}")
     report = _report("derive", digest, {"p": args.p, "halfdegs": halfdegs,
@@ -419,11 +413,10 @@ def _cmd_derive(args) -> tuple[dict, int]:
     report["presentations"] = [
         render_presentation(s).splitlines() for s in solutions
     ]
-    report["overall"] = True
-    return report, 0
+    return report, True
 
 
-def _cmd_thmc(args) -> tuple[dict, int]:
+def _cmd_thmc(args) -> tuple[dict, bool]:
     dims = _int_list(args.dims)
     digest = _digest(f"thmc p={args.p} dims={dims}")
     report = _report("thmc", digest, {"p": args.p, "dims": dims})
@@ -443,11 +436,10 @@ def _cmd_thmc(args) -> tuple[dict, int]:
         )
     report["verdicts"] = [{"check": "largest-order", "value": bound, "m_l": m_l}]
     report["notes"] = notes
-    report["overall"] = True
-    return report, 0
+    return report, True
 
 
-def _cmd_gamma(args) -> tuple[dict, int]:
+def _cmd_gamma(args) -> tuple[dict, bool]:
     digest = _digest(f"gamma n={args.n} census={args.census}")
     report = _report("gamma", digest, {"n": args.n, "census": bool(args.census)})
     try:
@@ -461,11 +453,10 @@ def _cmd_gamma(args) -> tuple[dict, int]:
         {"n": c["n"], "vertices": c["vertices"], "facets": c["facets"]}
         for c in report["census"]
     ]
-    report["overall"] = True
-    return report, 0
+    return report, True
 
 
-def _cmd_steenrod(args) -> tuple[dict, int]:
+def _cmd_steenrod(args) -> tuple[dict, bool]:
     digest = _digest(f"steenrod p={args.p} eval={args.eval}")
     report = _report("steenrod", digest, {"p": args.p, "eval": args.eval})
     try:
@@ -474,8 +465,7 @@ def _cmd_steenrod(args) -> tuple[dict, int]:
         raise PresentationError(str(exc))
     report["verdicts"] = [{"normal_form": render_element(element),
                            "degree": element.degree()}]
-    report["overall"] = True
-    return report, 0
+    return report, True
 
 
 def _int_list(text: str) -> list[int]:
@@ -558,7 +548,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        report, code = args.fn(args)
+        report, ok = args.fn(args)
     except PresentationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -566,6 +556,7 @@ def main(argv=None) -> int:
         # A fault of the program, never a checker FAIL: keep it off exit 1.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    report["overall"] = ok
     payload = (
         json.dumps(report, indent=2) + "\n"
         if args.format == "json"
@@ -576,7 +567,7 @@ def main(argv=None) -> int:
             fh.write(payload)
     if not args.quiet:
         sys.stdout.write(payload)
-    return code
+    return 0 if ok else 1
 
 
 def entry_point() -> None:

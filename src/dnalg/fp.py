@@ -282,13 +282,6 @@ class ChainRep:
         return m
 
 
-@dataclass
-class _Thread:
-    birth: int
-    vecs: dict[int, list[int]]
-    death: int | None = None
-
-
 @dataclass(frozen=True)
 class IntervalForm:
     """Result of interval decomposition of a chain representation.
@@ -307,89 +300,69 @@ class IntervalForm:
 def chain_interval_form(chain: ChainRep) -> IntervalForm:
     """Choose compatible bases making every chain map a partial permutation.
 
-    Sweeps left to right, carrying "threads" (basis vectors with a birth
-    node).  When thread images become dependent, the younger thread is
-    corrected by older ones over its whole lifetime, which keeps the basis
-    change consistent; a thread whose image vanishes dies at that node.
-    Composite ranks are untouched because each node only undergoes an
-    invertible change of basis.
+    Each basis thread is a string of images: a list ``[birth, v_birth, ...,
+    v_death, death]`` in which the chain map sends each vector to the next
+    one and the last vector to zero.  The sweep goes left to right and
+    clears, node by node, the images of the live threads and then the unit
+    vectors against the pivots found so far; a unit vector that survives
+    starts a new thread.  Clearing an image against an older thread's vector
+    subtracts the same multiple of the older string from the younger one
+    over the younger one's whole life, so both stay strings of images; an
+    image that clears to zero ends its thread.  Composite ranks are
+    untouched because each node only undergoes an invertible change of
+    basis.
     """
     p = chain.modulus
     k = len(chain.dims) - 1
-    threads: list[_Thread] = []
-    active: list[_Thread] = []
-    for r in range(chain.dims[0]):
-        v = [1 if i == r else 0 for i in range(chain.dims[0])]
-        th = _Thread(birth=0, vecs={0: v})
-        threads.append(th)
-        active.append(th)
-
-    for node in range(1, k + 1):
-        f = chain.maps[node - 1]
-        pivots: list[tuple[int, list[int], _Thread | None]] = []
-        survivors: list[_Thread] = []
-        for th in active:
-            u = list(f.matvec(th.vecs[node - 1]))
+    threads: list[list] = []  # every thread, in order of birth
+    active: list[list] = []
+    for node, dim in enumerate(chain.dims):
+        images = [chain.maps[node - 1].matvec(th[-1]) for th in active]
+        units = [[1 if i == r else 0 for i in range(dim)] for r in range(dim)]
+        pivots: list[tuple[int, list[int], list]] = []
+        survivors = []
+        for th, u in zip(active + [[node] for _ in units], images + units):
             for col, w, older in pivots:
                 c = u[col]
                 if c:
                     u = [(a - c * b) % p for a, b in zip(u, w)]
-                    if older is not None:
-                        for s in range(th.birth, node):
-                            th.vecs[s] = [
-                                (a - c * b) % p
-                                for a, b in zip(th.vecs[s], older.vecs[s])
-                            ]
+                    th[1:] = [
+                        [(a - c * b) % p for a, b in zip(v, x)]
+                        for v, x in zip(th[1:], older[1 + th[0] - older[0]:])
+                    ]
             lead = next((i for i, x in enumerate(u) if x), None)
             if lead is None:
-                th.death = node - 1
+                if len(th) > 1:  # a live thread dies; a dependent unit is dropped
+                    th.append(node - 1)
                 continue
             inv = pow(u[lead], -1, p)
-            u = [(x * inv) % p for x in u]
-            for s in range(th.birth, node):
-                th.vecs[s] = [(x * inv) % p for x in th.vecs[s]]
-            th.vecs[node] = u
-            pivots.append((lead, u, th))
+            th[1:] = [[x * inv % p for x in v] for v in th[1:] + [u]]
+            if len(th) == 2:  # born at this node
+                threads.append(th)
+            pivots.append((lead, th[-1], th))
             survivors.append(th)
-        newborn = []
-        for r in range(chain.dims[node]):
-            u = [1 if i == r else 0 for i in range(chain.dims[node])]
-            for col, w, _ in pivots:
-                c = u[col]
-                if c:
-                    u = [(a - c * b) % p for a, b in zip(u, w)]
-            lead = next((i for i, x in enumerate(u) if x), None)
-            if lead is None:
-                continue
-            inv = pow(u[lead], -1, p)
-            u = [(x * inv) % p for x in u]
-            th = _Thread(birth=node, vecs={node: u})
-            threads.append(th)
-            newborn.append(th)
-            pivots.append((lead, u, None))
-        active = survivors + newborn
-
+        active = survivors
     for th in active:
-        th.death = k
+        th.append(k)
 
     alive_at = [
-        [th for th in threads if th.birth <= i <= th.death] for i in range(k + 1)
+        [t for t, th in enumerate(threads) if th[0] <= i <= th[-1]] for i in range(k + 1)
     ]
     for i, alive in enumerate(alive_at):
         assert len(alive) == chain.dims[i]
     bases = tuple(
-        FpMatrix.from_rows(p, [th.vecs[i] for th in alive_at[i]], chain.dims[i])
-        for i in range(k + 1)
+        FpMatrix.from_rows(p, [threads[t][1 + i - threads[t][0]] for t in alive], chain.dims[i])
+        for i, alive in enumerate(alive_at)
     )
     new_maps = []
     for i in range(k):
-        rows_idx = {id(th): r for r, th in enumerate(alive_at[i + 1])}
+        row_of = {t: r for r, t in enumerate(alive_at[i + 1])}
         mat = [[0] * chain.dims[i] for _ in range(chain.dims[i + 1])]
-        for c, th in enumerate(alive_at[i]):
-            if th.death >= i + 1:
-                mat[rows_idx[id(th)]][c] = 1
+        for c, t in enumerate(alive_at[i]):
+            if t in row_of:
+                mat[row_of[t]][c] = 1
         new_maps.append(FpMatrix.from_rows(p, mat, chain.dims[i]))
-    intervals = tuple((th.birth, th.death) for th in threads)
+    intervals = tuple((th[0], th[-1]) for th in threads)
     return IntervalForm(bases, tuple(new_maps), intervals)
 
 

@@ -127,21 +127,27 @@ class NormalizedPresentation:
         return self.presentation.p
 
 
+def _p1_on_generators(a: AlgebraPresentation) -> tuple[list[AlgebraElement], dict[int, int]]:
+    """P^1 of each generator, and i -> j for each y_i with P^1 y_i = y_j."""
+    images = [a.act_power(1, a.gen(i)) for i in range(a.l)]
+    targets = {}
+    for i, w in enumerate(images):
+        monos = w.monomials()
+        if len(monos) == 1 and sum(monos[0][0]) == 1 and monos[0][1] == 1:
+            targets[i] = monos[0][0].index(1)
+    return images, targets
+
+
 def p1_normal_form_ok(a: AlgebraPresentation) -> tuple[bool, list[str]]:
     """The normalization predicate, checked independently of how the
     presentation was produced: P^1 of each generator is either decomposable
     or exactly another generator, injectively."""
-    problems = []
-    targets: dict[int, int] = {}
-    for i in range(a.l):
-        w = a.act_power(1, a.gen(i))
-        if w.in_filtration(2):
-            continue
-        monos = w.monomials()
-        if len(monos) == 1 and sum(monos[0][0]) == 1 and monos[0][1] == 1:
-            targets[i] = monos[0][0].index(1)
-        else:
-            problems.append(f"P^1 {a.names[i]} is neither decomposable nor a generator")
+    images, targets = _p1_on_generators(a)
+    problems = [
+        f"P^1 {a.names[i]} is neither decomposable nor a generator"
+        for i, w in enumerate(images)
+        if i not in targets and not w.in_filtration(2)
+    ]
     hit: dict[int, int] = {}
     for i, j in targets.items():
         if j in hit:
@@ -232,16 +238,11 @@ def check_prop_a(norm: NormalizedPresentation | AlgebraPresentation, n: int) -> 
     a = norm.presentation if isinstance(norm, NormalizedPresentation) else norm
     if not 1 <= n <= a.p:
         raise AlgebraError("order must satisfy 1 <= n <= p")
-    ok_targets = set()
-    for k in range(a.l):
-        w = a.act_power(1, a.gen(k))
-        monos = w.monomials()
-        if len(monos) == 1 and sum(monos[0][0]) == 1 and monos[0][1] == 1:
-            ok_targets.add(monos[0][0].index(1))
+    images, targets = _p1_on_generators(a)
+    ok_targets = set(targets.values())
     failures = []
     checked = 0
-    for i in range(a.l):
-        w = a.act_power(1, a.gen(i))
+    for i, w in enumerate(images):
         for exps, c in w.monomials():
             support = [j for j, e in enumerate(exps) if e]
             if len(support) != 1:

@@ -209,10 +209,9 @@ class AlgebraPresentation:
             for exps in poly:
                 if len(exps) != self.l:
                     raise AlgebraError("action polynomial has wrong arity")
-                if (
-                    all(0 <= e <= p for e in exps)
-                    and self.monomial_degree(exps) != want
-                ):
+                if min(exps) < 0:
+                    raise AlgebraError("negative exponent")
+                if max(exps) <= p and self.monomial_degree(exps) != want:
                     raise AlgebraError(
                         f"P^{k} {self.names[i]} entry has degree "
                         f"{self.monomial_degree(exps)}, expected {want}"
@@ -493,7 +492,8 @@ def validate_action(a: AlgebraPresentation) -> ActionValidation:
     unstable: list[str] = []
     for i, m in enumerate(a.half_degrees):
         name = a.names[i]
-        if a.action_entry(i, m) != a.gen(i) ** p:
+        top = tuple(p if j == i else 0 for j in range(a.l))
+        if a.action_entry(i, m).terms != {top: 1}:
             unstable.append(f"P^{m} {name} != {name}^{p}")
         for (j, k) in a.stored_entries():
             if j != i or k <= m:
@@ -595,10 +595,10 @@ class QSpace:
         return self.presentation.gen(self.gen_indices[idx])
 
     def lift(self, coords) -> AlgebraElement:
-        out = self.presentation.zero()
-        for c, i in zip(coords, self.gen_indices):
-            out = out + self.presentation.gen(i).scale(c)
-        return out
+        l = self.presentation.l
+        return self.presentation.element({
+            tuple(int(j == i) for j in range(l)): c for c, i in zip(coords, self.gen_indices)
+        })
 
 
 def indecomposables(a: AlgebraPresentation, d: int) -> QSpace:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -193,19 +197,32 @@ def test_reports_are_deterministic(capsys, s3_file):
     assert out1 == out2
 
 
-@pytest.mark.parametrize(
-    "golden,argv",
-    [
-        ("thmc_p5_dims3.json", ["thmc", "--p", "5", "--dims", "3"]),
-        ("steenrod_p1p1_p3.json", ["steenrod", "--eval", "P^1 P^1", "--p", "3"]),
-    ],
-)
-def test_golden_reports(capsys, golden, argv):
-    import pathlib
+GOLDEN_REPORTS = [
+    ("thmc_p5_dims3.json", ["thmc", "--p", "5", "--dims", "3"], 0),
+    ("steenrod_p1p1_p3.json", ["steenrod", "--eval", "P^1 P^1", "--p", "3"], 0),
+    ("validate_s3.json", ["validate", "{s3}"], 0),
+    ("normalize_s3.json", ["normalize", "{s3}"], 0),
+    ("check_dn_n1_s3.json", ["check-dn", "--n", "1", "{s3}"], 0),
+    ("check_dn_n3_s3.json", ["check-dn", "--n", "3", "{s3}"], 1),
+    ("max_dn_s3.json", ["max-dn", "{s3}"], 0),
+    ("check_propa_n2_s3.json", ["check-propA", "--n", "2", "{s3}"], 1),
+    ("check_thma_s3.json", ["check-thmA", "{s3}"], 1),
+    ("reduce_s3.json", ["reduce", "{s3}"], 0),
+    ("derive_p5_halfdegs2.json", ["derive", "--p", "5", "--halfdegs", "2"], 0),
+    ("gamma_n3_census.json", ["gamma", "--n", "3", "--census"], 0),
+]
 
+
+@pytest.mark.parametrize(
+    "golden,argv,exit_code",
+    GOLDEN_REPORTS,
+    ids=[f"{golden}-argv{i}" for i, (golden, _, _) in enumerate(GOLDEN_REPORTS)],
+)
+def test_golden_reports(capsys, s3_file, golden, argv, exit_code):
+    # {s3} stands for a file holding S3_TEXT; the report names only its digest.
     expected = (pathlib.Path(__file__).parent / "golden" / golden).read_text()
-    code, out = run(capsys, *argv)
-    assert code == 0
+    code, out = run(capsys, *[s3_file if arg == "{s3}" else arg for arg in argv])
+    assert code == exit_code
     assert out == expected
 
 
@@ -344,3 +361,34 @@ def test_derive_then_check_pipeline(capsys, tmp_path):
         assert run(capsys, "check-dn", "--n", "3", str(path))[0] == 1
         code, out2 = run(capsys, "max-dn", str(path))
         assert code == 0 and json.loads(out2)["verdicts"][0]["value"] == 2
+
+
+@pytest.mark.parametrize(
+    "text,argv,exit_code",
+    [
+        (None, ["thmc", "--p", "5", "--dims", "3"], 0),
+        ("p = 3; generator y halfdeg 2; action P^1 y = 0\n", ["validate", "{file}"], 1),
+        ("p = 4\n", ["validate", "{file}"], 2),
+    ],
+    ids=["pass", "checker-fail", "input-error"],
+)
+def test_module_entry_point_exit_status(tmp_path, text, argv, exit_code):
+    # The real entry point in a fresh interpreter: the exit status, and the
+    # report on stdout (nothing on an input error).
+    path = tmp_path / "model.alg"
+    if text is not None:
+        path.write_text(text)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dnalg.cli", *[str(path) if a == "{file}" else a for a in argv]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    if exit_code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+    else:
+        doc = json.loads(proc.stdout)
+        assert doc["command"] == argv[0]
+        assert doc["overall"] is (exit_code == 0)

@@ -245,6 +245,19 @@ def test_prop_a_pass_on_linked_shape():
     assert result.ok and result.checked == 1
 
 
+def test_p1_hits_a_generator_exactly_only_with_coefficient_one():
+    # P^1 y4 = 2*y8 is indecomposable but not y8 itself: both readers of
+    # P^1 on the generators must see that.
+    a = AlgebraPresentation(
+        3, [("y4", 2), ("y8", 4)], {("y4", 1): {(0, 1): 2}}
+    )
+    assert p1_normal_form_ok(a) == (
+        False, ["P^1 y4 is neither decomposable nor a generator"]
+    )
+    result = check_prop_a(a, 2)
+    assert result.failures == ((0, 1, 1),) and result.checked == 1
+
+
 def test_prop_a_fails_for_sphere_model():
     a = s3_model(3, 2)
     result = check_prop_a(a, 2)

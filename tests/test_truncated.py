@@ -355,6 +355,14 @@ def test_degree_checked_at_construction():
         AlgebraPresentation(3, [("y", 2)], {("y", 1): {(1,): 1}})
 
 
+def test_negative_exponent_rejected_at_construction():
+    # Such an entry would send the Cartan recursion below the unit.
+    with pytest.raises(AlgebraError, match="negative exponent"):
+        AlgebraPresentation(3, [("y", 2)], {("y", 1): {(-1,): 1}})
+    with pytest.raises(AlgebraError, match="negative exponent"):
+        AlgebraPresentation(5, [("x", 1), ("y", 2)], {("y", 1): {(6, -1): 1}})
+
+
 # ---------------------------------------------------------------------------
 # filtration and indecomposables
 
