@@ -19,16 +19,24 @@ results are stable across runs and safe to compute concurrently.
 
 Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
 tuples: ``planar_trees``, ``binary_trees``, ``_binary_leaves`` (the
-binary-tree check every ``GammaVertex`` runs) and ``delete_leaf``, and the
-permutation check of ``GammaVertex`` is cached per permutation tuple in
-``_is_permutation``.  Facet vertices are cached per facet type in
-``_type_vertices``: by the product decomposition, the vertices of a facet
-depend on its partition only through the type, up to renaming letters, so
-each facet reads its type's grafted vertices and renames the letters block
-by block.  The caches are unbounded, but there are only Catalan-many
-trees per leaf count, n! permutations of n letters and 2^(n-1) - 1 facet
-types on n letters.  The benchmark empties every functools cache in
-dnalg's namespaces before each job, so its timings include filling them.
+binary-tree check) and ``delete_leaf``, and the permutation check is cached
+per permutation tuple in ``_is_permutation``.  Facet vertices are cached
+per facet type in ``_type_vertices``: by the product decomposition, the
+vertices of a facet depend on its partition only through the type, up to
+renaming letters, so each facet reads its type's grafted vertices and
+renames the letters block by block.  The caches are unbounded, but there
+are only Catalan-many trees per leaf count, n! permutations of n letters
+and 2^(n-1) - 1 facet types on n letters.  The benchmark empties every
+functools cache in dnalg's namespaces before each job, so its timings
+include filling them.
+
+The public constructors of ``OrderedPartition``, ``GammaFacet`` and
+``GammaVertex`` check every value they are given.  The enumerators skip
+the last two and check each distinct part once: ``enumerate_vertices``
+each tree and permutation, ``_type_vertices`` each facet type's positions
+and trees, and ``enumerate_facets`` each partition's block count;
+``facet_vertices`` renames letters that the facet's checked partition
+lists.
 """
 
 from __future__ import annotations
@@ -274,10 +282,20 @@ class GammaFacet:
         return count
 
 
+_set_partition = GammaFacet.partition.__set__
+
+
 def enumerate_facets(n: int) -> list[GammaFacet]:
     if n < 1:
         raise ValueError("n must be positive")
-    return [GammaFacet(part) for part in ordered_partitions(n, 2)]
+    out = []
+    for part in ordered_partitions(n, 2):
+        if len(part.blocks) < 2:
+            raise ValueError("facets need at least two blocks")
+        facet = object.__new__(GammaFacet)
+        _set_partition(facet, part)
+        out.append(facet)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +305,10 @@ def enumerate_facets(n: int) -> list[GammaFacet]:
 @lru_cache(maxsize=None)
 def _is_permutation(perm: tuple) -> bool:
     return sorted(perm) == list(range(1, len(perm) + 1))
+
+
+_NOT_PERMUTATION = "perm must be a permutation of {1..n}"
+_NOT_TREE = "tree must be a binary tree of nested pairs with one leaf per letter"
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,15 +325,13 @@ class GammaVertex:
         except TypeError:  # unhashable, so checked without the cache
             is_perm = _is_permutation.__wrapped__(self.perm)
         if not is_perm:
-            raise ValueError("perm must be a permutation of {1..n}")
+            raise ValueError(_NOT_PERMUTATION)
         try:
             leaves = _binary_leaves(self.tree)
         except TypeError:  # unhashable, so not a tree of nested tuples
             leaves = 0
         if leaves == 0 or leaves != n:  # 0 also rejects n = 0 with tree ()
-            raise ValueError(
-                "tree must be a binary tree of nested pairs with one leaf per letter"
-            )
+            raise ValueError(_NOT_TREE)
 
     @property
     def n(self) -> int:
@@ -325,6 +345,19 @@ class GammaVertex:
         return f"{self.perm} {render_tree(self.tree)}"
 
 
+_set_perm = GammaVertex.perm.__set__
+_set_tree = GammaVertex.tree.__set__
+
+
+def _vertex(perm: tuple[int, ...], tree) -> GammaVertex:
+    """A ``GammaVertex`` built unchecked: the caller has checked that ``perm``
+    is a permutation and ``tree`` a binary tree on as many leaves."""
+    v = object.__new__(GammaVertex)
+    _set_perm(v, perm)
+    _set_tree(v, tree)
+    return v
+
+
 def gamma_vertex_count(n: int) -> int:
     return math.factorial(n) * catalan(n - 1)
 
@@ -332,11 +365,15 @@ def gamma_vertex_count(n: int) -> int:
 def enumerate_vertices(n: int) -> list[GammaVertex]:
     if n < 1:
         raise ValueError("n must be positive")
-    return [
-        GammaVertex(perm, tree)
-        for perm in itertools.permutations(range(1, n + 1))
-        for tree in binary_trees(n)
-    ]
+    trees = binary_trees(n)
+    if not all(_binary_leaves(t) == n for t in trees):
+        raise ValueError(_NOT_TREE)
+    out = []
+    for perm in itertools.permutations(range(1, n + 1)):
+        if not _is_permutation(perm):
+            raise ValueError(_NOT_PERMUTATION)
+        out += [_vertex(perm, tree) for tree in trees]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +470,7 @@ def _type_vertices(types: tuple[int, ...]) -> tuple:
     grafted once."""
     offsets = list(itertools.accumulate(types, initial=0))
     factors = [enumerate_vertices(t) for t in types]
-    return tuple(
+    out = tuple(
         (
             tuple(off + i - 1 for off, v in zip(offsets, combo) for i in v.perm),
             graft(ktree, [v.tree for v in combo]),
@@ -441,14 +478,22 @@ def _type_vertices(types: tuple[int, ...]) -> tuple:
         for ktree in binary_trees(len(types))
         for combo in itertools.product(*factors)
     )
+    n, letters = offsets[-1], list(range(offsets[-1]))
+    for positions, tree in out:
+        if sorted(positions) != letters:
+            raise ValueError(_NOT_PERMUTATION)
+        if _binary_leaves(tree) != n:
+            raise ValueError(_NOT_TREE)
+    return out
 
 
 def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:
     """All vertices of a facet, via the product decomposition: its type's
-    vertices with the letters renamed."""
+    vertices with the letters renamed.  The letters are {1..n} because the
+    facet's partition was checked when it was made."""
     letters = tuple(itertools.chain.from_iterable(facet.partition.blocks))
     return [
-        GammaVertex(tuple(map(letters.__getitem__, positions)), tree)
+        _vertex(tuple(map(letters.__getitem__, positions)), tree)
         for positions, tree in _type_vertices(facet.partition.type)
     ]
 

@@ -182,6 +182,15 @@ def test_chain_zero_maps_identity_bases():
     assert sorted(form.intervals) == [(0, 0), (0, 0), (1, 1), (1, 1)]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_single_node_chain_has_identity_basis(p):
+    # normalize_generators takes the identity for a one-node chain without
+    # running the sweep; this is the sweep's own answer.
+    for d in range(5):
+        form = chain_interval_form(ChainRep(p, (d,), ()))
+        assert form.bases[0] == FpMatrix.identity(p, d)
+
+
 def test_chain_sum_of_two_targets():
     f = FpMatrix.from_rows(3, [[1], [1]])
     form = chain_interval_form(ChainRep(3, (1, 2), (f,)))

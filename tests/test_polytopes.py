@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -333,6 +336,43 @@ def test_facet_vertices_unchanged_by_a_cold_type_cache():
     _type_vertices.cache_clear()
     assert [facet_vertices(f) for f in facets] == warm
     assert _type_vertices.cache_info().currsize == 7 + 15
+
+
+def test_enumeration_digest_is_pinned():
+    # Every vertex of Gamma_1..Gamma_6 and every facet of Gamma_2..Gamma_6,
+    # in order: any change in what the enumerators build, or its order, shows.
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        h.update(json.dumps([(v.perm, v.tree) for v in enumerate_vertices(n)]).encode())
+    for n in range(2, 7):
+        h.update(json.dumps([f.partition.blocks for f in enumerate_facets(n)]).encode())
+    assert h.hexdigest() == (
+        "30b49f404e202b4c402c33e4c36e42063f12ef93827a270dbef8b782a75879d9"
+    )
+
+
+def test_built_vertices_pass_the_validating_constructor():
+    # The enumerators skip the public constructors; each object they build
+    # must be one those constructors accept, equal and with the same hash.
+    first_of_type = {}
+    for facet in enumerate_facets(6):
+        first_of_type.setdefault(facet.partition.type, facet)
+    facets = [f for n in range(2, 6) for f in enumerate_facets(n)]
+    built = [v for n in range(1, 7) for v in enumerate_vertices(n)]
+    built += [v for f in facets + list(first_of_type.values()) for v in facet_vertices(f)]
+    for v in built:
+        checked = GammaVertex(v.perm, v.tree)
+        assert checked == v and hash(checked) == hash(v)
+    for f in facets + enumerate_facets(6):
+        checked = GammaFacet(f.partition)
+        assert checked == f and hash(checked) == hash(f)
+
+
+def test_trusted_builders_set_every_field():
+    # _vertex and enumerate_facets set these fields one by one; a field
+    # added later would be left unset.
+    assert [f.name for f in dataclasses.fields(GammaVertex)] == ["perm", "tree"]
+    assert [f.name for f in dataclasses.fields(GammaFacet)] == ["partition"]
 
 
 def test_facet_vertex_count_two_two_type():
