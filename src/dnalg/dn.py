@@ -286,16 +286,13 @@ def _build_slots(a, d, config, incomplete):
             incomplete.add(q)
         mats = [[a.word_coords(w, m, d) for m in basis_e] for w in words]
         for support, coeffs in combos:
-            if len(support) == 1 and coeffs == (1,):
-                cols = mats[support[0]]  # a single word: its own columns
-            else:
-                cols = [
-                    tuple(
-                        sum(c * mats[i][j][r] for i, c in zip(support, coeffs)) % p
-                        for r in range(dim)
-                    )
-                    for j in range(len(basis_e))
-                ]
+            cols = [
+                tuple(
+                    sum(c * mats[i][j][r] for i, c in zip(support, coeffs)) % p
+                    for r in range(dim)
+                )
+                for j in range(len(basis_e))
+            ]
             if all(not any(col) for col in cols):
                 continue
             # normalize the projective class for dedup: first nonzero entry 1

@@ -19,9 +19,10 @@ results are stable across runs and safe to compute concurrently.
 
 Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
 tuples: ``planar_trees``, ``binary_trees``, ``_binary_leaves`` (the
-binary-tree check) and ``delete_leaf``, and the permutation check is cached
-per permutation tuple in ``_is_permutation``.  Facet vertices are cached
-per facet type in ``_type_vertices``: by the product decomposition, the
+binary-tree check of the public ``GammaVertex`` constructor) and
+``delete_leaf``, and that constructor's permutation check is cached per
+permutation tuple in ``_is_permutation``.  Facet vertices are cached per
+facet type in ``_type_vertices``: by the product decomposition, the
 vertices of a facet depend on its partition only through the type, up to
 renaming letters, so each facet reads its type's grafted vertices and
 renames the letters block by block.  The caches are unbounded, but there
@@ -30,13 +31,12 @@ and 2^(n-1) - 1 facet types on n letters.  The benchmark empties every
 functools cache in dnalg's namespaces before each job, so its timings
 include filling them.
 
-The public constructors of ``OrderedPartition``, ``GammaFacet`` and
-``GammaVertex`` check every value they are given.  The enumerators skip
-the last two and check each distinct part once: ``enumerate_vertices``
-each tree and permutation, ``_type_vertices`` each facet type's positions
-and trees, and ``enumerate_facets`` each partition's block count;
-``facet_vertices`` renames letters that the facet's checked partition
-lists.
+The public constructors check every value they are given.
+``enumerate_vertices`` and ``facet_vertices`` build each ``GammaVertex``
+with ``_vertex``, which skips that check: their permutations and trees
+are valid by construction, from ``itertools.permutations``,
+``binary_trees`` and the letters of a checked ``OrderedPartition``.  The
+tests rebuild every such vertex through the public constructor.
 """
 
 from __future__ import annotations
@@ -282,20 +282,10 @@ class GammaFacet:
         return count
 
 
-_set_partition = GammaFacet.partition.__set__
-
-
 def enumerate_facets(n: int) -> list[GammaFacet]:
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for part in ordered_partitions(n, 2):
-        if len(part.blocks) < 2:
-            raise ValueError("facets need at least two blocks")
-        facet = object.__new__(GammaFacet)
-        _set_partition(facet, part)
-        out.append(facet)
-    return out
+    return [GammaFacet(part) for part in ordered_partitions(n, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +295,6 @@ def enumerate_facets(n: int) -> list[GammaFacet]:
 @lru_cache(maxsize=None)
 def _is_permutation(perm: tuple) -> bool:
     return sorted(perm) == list(range(1, len(perm) + 1))
-
-
-_NOT_PERMUTATION = "perm must be a permutation of {1..n}"
-_NOT_TREE = "tree must be a binary tree of nested pairs with one leaf per letter"
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,13 +311,15 @@ class GammaVertex:
         except TypeError:  # unhashable, so checked without the cache
             is_perm = _is_permutation.__wrapped__(self.perm)
         if not is_perm:
-            raise ValueError(_NOT_PERMUTATION)
+            raise ValueError("perm must be a permutation of {1..n}")
         try:
             leaves = _binary_leaves(self.tree)
         except TypeError:  # unhashable, so not a tree of nested tuples
             leaves = 0
         if leaves == 0 or leaves != n:  # 0 also rejects n = 0 with tree ()
-            raise ValueError(_NOT_TREE)
+            raise ValueError(
+                "tree must be a binary tree of nested pairs with one leaf per letter"
+            )
 
     @property
     def n(self) -> int:
@@ -350,8 +338,8 @@ _set_tree = GammaVertex.tree.__set__
 
 
 def _vertex(perm: tuple[int, ...], tree) -> GammaVertex:
-    """A ``GammaVertex`` built unchecked: the caller has checked that ``perm``
-    is a permutation and ``tree`` a binary tree on as many leaves."""
+    """A ``GammaVertex`` built unchecked, for a ``perm`` that is a
+    permutation and a ``tree`` binary on as many leaves by construction."""
     v = object.__new__(GammaVertex)
     _set_perm(v, perm)
     _set_tree(v, tree)
@@ -365,15 +353,11 @@ def gamma_vertex_count(n: int) -> int:
 def enumerate_vertices(n: int) -> list[GammaVertex]:
     if n < 1:
         raise ValueError("n must be positive")
-    trees = binary_trees(n)
-    if not all(_binary_leaves(t) == n for t in trees):
-        raise ValueError(_NOT_TREE)
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        if not _is_permutation(perm):
-            raise ValueError(_NOT_PERMUTATION)
-        out += [_vertex(perm, tree) for tree in trees]
-    return out
+    return [
+        _vertex(perm, tree)
+        for perm in itertools.permutations(range(1, n + 1))
+        for tree in binary_trees(n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +454,7 @@ def _type_vertices(types: tuple[int, ...]) -> tuple:
     grafted once."""
     offsets = list(itertools.accumulate(types, initial=0))
     factors = [enumerate_vertices(t) for t in types]
-    out = tuple(
+    return tuple(
         (
             tuple(off + i - 1 for off, v in zip(offsets, combo) for i in v.perm),
             graft(ktree, [v.tree for v in combo]),
@@ -478,13 +462,6 @@ def _type_vertices(types: tuple[int, ...]) -> tuple:
         for ktree in binary_trees(len(types))
         for combo in itertools.product(*factors)
     )
-    n, letters = offsets[-1], list(range(offsets[-1]))
-    for positions, tree in out:
-        if sorted(positions) != letters:
-            raise ValueError(_NOT_PERMUTATION)
-        if _binary_leaves(tree) != n:
-            raise ValueError(_NOT_TREE)
-    return out
 
 
 def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:

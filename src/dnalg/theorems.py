@@ -186,14 +186,11 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
         lo, hi = min(degs), max(degs)
         nodes = list(range(lo, hi + 1, step))
         dims = tuple(indecomposables(a, d).dim for d in nodes)
-        if len(nodes) == 1:  # no map, so the interval form is the identity
-            bases = (FpMatrix.identity(p, dims[0]),)
-        else:
-            maps = tuple(
-                induced_q_map(a, p1, nodes[i]) for i in range(len(nodes) - 1)
-            )
-            bases = chain_interval_form(ChainRep(p, dims, maps)).bases
-        for d, basis in zip(nodes, bases):
+        maps = tuple(
+            induced_q_map(a, p1, nodes[i]) for i in range(len(nodes) - 1)
+        )
+        form = chain_interval_form(ChainRep(p, dims, maps))
+        for d, basis in zip(nodes, form.bases):
             if basis.rows:
                 new_basis[d] = basis
 

@@ -7,13 +7,11 @@ from dnalg.dn import (
     DnInstance,
     DnSearchConfig,
     _build_slots,
-    _monic_combinations,
     check_dn,
     check_instance,
     max_dn,
     max_dn_report,
 )
-from dnalg.fp import Subspace
 from dnalg.steenrod import SteenrodElement, basis_of_degree
 from dnalg.truncated import AlgebraError, AlgebraPresentation, filtration
 
@@ -254,68 +252,6 @@ def test_slot_columns_match_the_action(pool):
                 for col, m in zip(slot.columns, monos):
                     assert col == a.coords(a.act(slot.theta, a.element({m: 1})), d)
                 slots += 1
-    assert slots
-
-
-def generic_sum_slots(a, d, config):
-    """The slots of one target degree with every combination's columns,
-    single words included, built entry by entry as the sum over its words:
-    (e, theta, columns, image rows, correction rows) per slot, in order."""
-    p, basis_d = a.p, a.basis_of_degree(d)
-    order = sorted(range(len(basis_d)), key=lambda r: sum(basis_d[r]))
-    out, seen = [], set()
-    for e in range(2, d + 1, 2):
-        basis_e = a.basis_of_degree(e)
-        q = d - e
-        if not basis_e or q <= 0 or q % (2 * (p - 1)):
-            continue
-        words = [w for w in basis_of_degree(p, q, top=a.top_degree) if not any(w.eps)]
-        combos, _ = _monic_combinations(p, words, config.theta_dim_bound)
-        mats = [[a.word_coords(w, m, d) for m in basis_e] for w in words]
-        for support, coeffs in combos:
-            cols = tuple(
-                tuple(
-                    sum(c * mats[i][j][r] for i, c in zip(support, coeffs)) % p
-                    for r in range(len(basis_d))
-                )
-                for j in range(len(basis_e))
-            )
-            flat = [x for col in cols for x in col]
-            if not any(flat):
-                continue
-            inv = pow(next(x for x in flat if x), -1, p)
-            key = (e, tuple(x * inv % p for x in flat))
-            if key in seen:
-                continue
-            seen.add(key)
-            by_length = [[col[r] for r in order] for col in cols]
-            corr = [v for v, m in zip(by_length, basis_e) if sum(m) >= 2]
-            out.append((
-                e,
-                SteenrodElement(p, {words[i]: c for i, c in zip(support, coeffs)}),
-                cols,
-                Subspace.from_vectors(p, len(order), by_length).basis,
-                Subspace.from_vectors(p, len(order), corr).basis,
-            ))
-    return out
-
-
-def test_slots_match_the_generic_combination_sum(pool):
-    config = DnSearchConfig()
-    extra = [
-        a for p, ms in [(3, (1,) * 4), (5, (1,) * 3), (7, (1,) * 3)]
-        for a in derived(p, ms)
-    ]
-    slots = 0
-    for a in list(pool) + extra:
-        for d in a.nonzero_degrees():
-            got = [
-                (s.source_degree, s.theta, tuple(s.columns), s.image.basis,
-                 s.corrections.basis)
-                for s in _build_slots(a, d, config, set())
-            ]
-            assert got == generic_sum_slots(a, d, config), (a, d)
-            slots += len(got)
     assert slots
 
 

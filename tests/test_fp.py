@@ -184,8 +184,7 @@ def test_chain_zero_maps_identity_bases():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_single_node_chain_has_identity_basis(p):
-    # normalize_generators takes the identity for a one-node chain without
-    # running the sweep; this is the sweep's own answer.
+    # A one-node chain has no map, so its interval form is the identity.
     for d in range(5):
         form = chain_interval_form(ChainRep(p, (d,), ()))
         assert form.bases[0] == FpMatrix.identity(p, d)

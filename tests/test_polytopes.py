@@ -352,8 +352,8 @@ def test_enumeration_digest_is_pinned():
 
 
 def test_built_vertices_pass_the_validating_constructor():
-    # The enumerators skip the public constructors; each object they build
-    # must be one those constructors accept, equal and with the same hash.
+    # enumerate_vertices and facet_vertices skip the public constructor; each
+    # vertex they build must be one it accepts, equal and with the same hash.
     first_of_type = {}
     for facet in enumerate_facets(6):
         first_of_type.setdefault(facet.partition.type, facet)
@@ -363,16 +363,12 @@ def test_built_vertices_pass_the_validating_constructor():
     for v in built:
         checked = GammaVertex(v.perm, v.tree)
         assert checked == v and hash(checked) == hash(v)
-    for f in facets + enumerate_facets(6):
-        checked = GammaFacet(f.partition)
-        assert checked == f and hash(checked) == hash(f)
 
 
-def test_trusted_builders_set_every_field():
-    # _vertex and enumerate_facets set these fields one by one; a field
-    # added later would be left unset.
+def test_vertex_builder_sets_every_field():
+    # _vertex sets these fields one by one; a field added later would be
+    # left unset.
     assert [f.name for f in dataclasses.fields(GammaVertex)] == ["perm", "tree"]
-    assert [f.name for f in dataclasses.fields(GammaFacet)] == ["partition"]
 
 
 def test_facet_vertex_count_two_two_type():
