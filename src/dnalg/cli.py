@@ -442,13 +442,12 @@ def _cmd_thmc(args) -> tuple[dict, bool]:
 def _cmd_gamma(args) -> tuple[dict, bool]:
     digest = _digest(f"gamma n={args.n} census={args.census}")
     report = _report("gamma", digest, {"n": args.n, "census": bool(args.census)})
-    try:
-        if args.census:
-            report["census"] = [boundary_census(k) for k in range(1, args.n + 1)]
-        else:
-            report["census"] = [boundary_census(args.n)]
+    try:  # checks 1 <= n <= 5 before any smaller census is built
+        top = boundary_census(args.n)
     except ValueError as exc:
         raise PresentationError(str(exc))
+    smaller = range(1, args.n) if args.census else ()
+    report["census"] = [boundary_census(k) for k in smaller] + [top]
     report["verdicts"] = [
         {"n": c["n"], "vertices": c["vertices"], "facets": c["facets"]}
         for c in report["census"]

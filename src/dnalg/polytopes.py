@@ -31,12 +31,18 @@ and 2^(n-1) - 1 facet types on n letters.  The benchmark empties every
 functools cache in dnalg's namespaces before each job, so its timings
 include filling them.
 
-The public constructors check every value they are given.
-``enumerate_vertices`` and ``facet_vertices`` build each ``GammaVertex``
-with ``_vertex``, which skips that check: their permutations and trees
-are valid by construction, from ``itertools.permutations``,
-``binary_trees`` and the letters of a checked ``OrderedPartition``.  The
-tests rebuild every such vertex through the public constructor.
+The public constructors check every value they are given.  Three
+builders skip that check where the values are valid by construction.
+``enumerate_vertices``, ``facet_vertices`` and the vertex branch of
+``degeneracy`` build each ``GammaVertex`` with ``_vertex``: their
+permutations and trees come from ``itertools.permutations``,
+``binary_trees``, the letters of a checked ``OrderedPartition``, or
+deleting one letter and one leaf from a checked vertex.
+``ordered_partitions`` builds each ``OrderedPartition`` with
+``_partition`` from the blocks of ``_surjections``, which are nonempty,
+increasing and cover {1..n}; ``enumerate_facets`` wraps each partition
+of at least two blocks with ``_facet``.  The tests rebuild every such
+object through the public constructor.
 """
 
 from __future__ import annotations
@@ -216,12 +222,25 @@ class OrderedPartition:
         return ",".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks)
 
 
+_set_n = OrderedPartition.n.__set__
+_set_blocks = OrderedPartition.blocks.__set__
+
+
+def _partition(n: int, blocks: tuple) -> OrderedPartition:
+    """An ``OrderedPartition`` built unchecked, for ``blocks`` that are
+    nonempty, increasing and cover {1..n} by construction."""
+    part = object.__new__(OrderedPartition)
+    _set_n(part, n)
+    _set_blocks(part, blocks)
+    return part
+
+
 def ordered_partitions(n: int, min_blocks: int = 2):
     """All ordered partitions of {1..n} with at least ``min_blocks`` blocks,
     as surjections onto {1..m} enumerated in lexicographic order."""
     for m in range(min_blocks, n + 1):
         for blocks in _surjections(n, m):
-            yield OrderedPartition(n, blocks)
+            yield _partition(n, blocks)
 
 
 def _surjections(n: int, m: int):
@@ -282,10 +301,21 @@ class GammaFacet:
         return count
 
 
+_set_partition = GammaFacet.partition.__set__
+
+
+def _facet(partition: OrderedPartition) -> GammaFacet:
+    """A ``GammaFacet`` built unchecked, for a ``partition`` with at least
+    two blocks by construction."""
+    facet = object.__new__(GammaFacet)
+    _set_partition(facet, partition)
+    return facet
+
+
 def enumerate_facets(n: int) -> list[GammaFacet]:
     if n < 1:
         raise ValueError("n must be positive")
-    return [GammaFacet(part) for part in ordered_partitions(n, 2)]
+    return [_facet(part) for part in ordered_partitions(n, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +520,7 @@ def degeneracy(label, j: int):
     if isinstance(label, GammaVertex):
         pos = label.perm.index(j)
         perm = tuple(x - 1 if x > j else x for x in label.perm if x != j)
-        return GammaVertex(perm, delete_leaf(label.tree, pos))
+        return _vertex(perm, delete_leaf(label.tree, pos))
     if isinstance(label, TopFace):
         return TopFace(label.n - 1)
     part = label.partition

@@ -138,6 +138,8 @@ def test_missing_file_exit_two(capsys):
     "argv",
     [
         ["gamma", "--n", "6"],                       # census supports n <= 5
+        ["gamma", "--n", "0", "--census"],           # census supports 1 <= n
+        ["gamma", "--n", "-1", "--census"],
         ["derive", "--p", "4", "--halfdegs", "1"],   # p is not an odd prime
         ["derive", "--p", "3", "--halfdegs", "0"],   # half-degree below 1
         ["derive", "--p", "3", "--halfdegs", "1,,2"],  # empty item

@@ -14,7 +14,10 @@ from dnalg.polytopes import (
     GammaVertex,
     OrderedPartition,
     TopFace,
+    _facet,
+    _partition,
     _type_vertices,
+    _vertex,
     binary_trees,
     boundary_census,
     catalan,
@@ -351,24 +354,68 @@ def test_enumeration_digest_is_pinned():
     )
 
 
+def test_degeneracy_digest_is_pinned():
+    # degeneracy(v, j) for every vertex v of Gamma_5 in enumeration order and
+    # j = 1..5 in turn: any change in what the vertex branch builds shows.
+    images = [
+        (w.perm, w.tree)
+        for v in enumerate_vertices(5)
+        for w in (degeneracy(v, j) for j in range(1, 6))
+    ]
+    assert hashlib.sha256(json.dumps(images).encode()).hexdigest() == (
+        "4340071ec0b67a73992a802d8f4c9eb1b3a7f77fd0d3cde8ed8f9158254d9eec"
+    )
+
+
 def test_built_vertices_pass_the_validating_constructor():
-    # enumerate_vertices and facet_vertices skip the public constructor; each
-    # vertex they build must be one it accepts, equal and with the same hash.
+    # enumerate_vertices, facet_vertices and degeneracy skip the public
+    # constructor; each vertex they build must be one it accepts, equal and
+    # with the same hash.
     first_of_type = {}
     for facet in enumerate_facets(6):
         first_of_type.setdefault(facet.partition.type, facet)
     facets = [f for n in range(2, 6) for f in enumerate_facets(n)]
     built = [v for n in range(1, 7) for v in enumerate_vertices(n)]
     built += [v for f in facets + list(first_of_type.values()) for v in facet_vertices(f)]
+    built += [
+        degeneracy(v, j)
+        for n in range(2, 6)
+        for v in enumerate_vertices(n)
+        for j in range(1, n + 1)
+    ]
     for v in built:
         checked = GammaVertex(v.perm, v.tree)
         assert checked == v and hash(checked) == hash(v)
 
 
-def test_vertex_builder_sets_every_field():
-    # _vertex sets these fields one by one; a field added later would be
-    # left unset.
-    assert [f.name for f in dataclasses.fields(GammaVertex)] == ["perm", "tree"]
+def test_built_partitions_and_facets_pass_the_validating_constructors():
+    # ordered_partitions and enumerate_facets skip the public constructors;
+    # each partition and facet they build must be one those accept, equal
+    # and with the same hash.
+    for n in range(1, 7):
+        for part in ordered_partitions(n):
+            checked = OrderedPartition(n, part.blocks)
+            assert checked == part and hash(checked) == hash(part)
+        for facet in enumerate_facets(n):
+            checked = GammaFacet(OrderedPartition(n, facet.partition.blocks))
+            assert checked == facet and hash(checked) == hash(facet)
+
+
+@pytest.mark.parametrize(
+    "build, cls, args",
+    [
+        (_vertex, GammaVertex, ((2, 1), (LEAF, LEAF))),
+        (_partition, OrderedPartition, (3, ((1, 3), (2,)))),
+        (_facet, GammaFacet, (OrderedPartition(3, ((1, 3), (2,))),)),
+    ],
+    ids=["vertex", "partition", "facet"],
+)
+def test_builder_sets_every_field(build, cls, args):
+    # Each builder sets the slots one by one; a field added later would be
+    # left unset, and reading it would raise AttributeError.
+    built = build(*args)
+    assert type(built) is cls
+    assert [getattr(built, f.name) for f in dataclasses.fields(cls)] == list(args)
 
 
 def test_facet_vertex_count_two_two_type():
@@ -419,11 +466,13 @@ def test_degeneracy_example_three_letters():
 
 
 def test_degeneracy_covers_all_vertices():
-    targets = set(enumerate_vertices(2))
-    for v in enumerate_vertices(3):
-        for j in (1, 2, 3):
-            out = degeneracy(v, j)
-            assert out in targets
+    # The images of Gamma_n under deleting letter j = 1..n are exactly the
+    # vertices of Gamma_{n-1}.
+    for n in (3, 4, 5):
+        images = {
+            degeneracy(v, j) for v in enumerate_vertices(n) for j in range(1, n + 1)
+        }
+        assert images == set(enumerate_vertices(n - 1))
 
 
 def test_degeneracy_on_faces():
