@@ -502,16 +502,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("normalize", _cmd_normalize, help="normalize generators")
     sp.add_argument("file")
 
-    sp = add("check-dn", _cmd_check_dn, help="decide the order-n correction condition")
-    sp.add_argument("file")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--max-support", type=int, default=2, dest="max_support")
-    sp.add_argument("--theta-dim-bound", type=int, default=3, dest="theta_dim_bound")
+    def add_dn(name, fn, **kwargs):
+        sp = add(name, fn, **kwargs)
+        sp.add_argument("file")
+        sp.add_argument("--max-support", type=int, default=DnSearchConfig.max_support)
+        sp.add_argument("--theta-dim-bound", type=int, default=DnSearchConfig.theta_dim_bound)
+        return sp
 
-    sp = add("max-dn", _cmd_max_dn, help="largest passing order")
-    sp.add_argument("file")
-    sp.add_argument("--max-support", type=int, default=2, dest="max_support")
-    sp.add_argument("--theta-dim-bound", type=int, default=3, dest="theta_dim_bound")
+    sp = add_dn("check-dn", _cmd_check_dn, help="decide the order-n correction condition")
+    sp.add_argument("--n", type=int, required=True)
+
+    add_dn("max-dn", _cmd_max_dn, help="largest passing order")
 
     sp = add("check-propA", _cmd_check_propa, help="pure-power lifting check")
     sp.add_argument("file")

@@ -18,16 +18,13 @@ Enumeration is pure and deterministic (lexicographic everywhere), so
 results are stable across runs and safe to compute concurrently.
 
 Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
-tuples: ``planar_trees``, ``binary_trees``, ``_binary_leaves`` (the
-binary-tree check of the public ``GammaVertex`` constructor) and
-``delete_leaf``, and that constructor's permutation check is cached per
-permutation tuple in ``_is_permutation``.  Facet vertices are cached per
-facet type in ``_type_vertices``: by the product decomposition, the
-vertices of a facet depend on its partition only through the type, up to
-renaming letters, so each facet reads its type's grafted vertices and
-renames the letters block by block.  The caches are unbounded, but there
-are only Catalan-many trees per leaf count, n! permutations of n letters
-and 2^(n-1) - 1 facet types on n letters.  The benchmark empties every
+tuples: ``planar_trees``, ``binary_trees`` and ``delete_leaf``.  Facet
+vertices are cached per facet type in ``_type_vertices``: by the product
+decomposition, the vertices of a facet depend on its partition only through
+the type, up to renaming letters, so each facet reads its type's grafted
+vertices and renames the letters block by block.  The caches are
+unbounded, but there are only Catalan-many trees per leaf count and
+2^(n-1) - 1 facet types on n letters.  The benchmark empties every
 functools cache in dnalg's namespaces before each job, so its timings
 include filling them.
 
@@ -73,11 +70,6 @@ def tree_dim(tree) -> int:
     return tree_leaves(tree) - 1 - tree_internal_nodes(tree)
 
 
-def is_binary(tree) -> bool:
-    return _binary_leaves(tree) > 0
-
-
-@lru_cache(maxsize=None)
 def _binary_leaves(tree) -> int:
     """Leaf count of a binary tree of nested pairs, and 0 for anything else."""
     if tree is LEAF:
@@ -104,7 +96,17 @@ def planar_trees(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def binary_trees(m: int) -> tuple:
-    return tuple(t for t in planar_trees(m) if is_binary(t))
+    """All binary trees with m leaves, in the order of ``planar_trees``."""
+    if m < 1:
+        raise ValueError("need at least one leaf")
+    if m == 1:
+        return (LEAF,)
+    return tuple(
+        (left, right)
+        for i in range(1, m)
+        for left in binary_trees(i)
+        for right in binary_trees(m - i)
+    )
 
 
 def _compositions(total: int, min_parts: int):
@@ -238,7 +240,7 @@ def _partition(n: int, blocks: tuple) -> OrderedPartition:
 def ordered_partitions(n: int, min_blocks: int = 2):
     """All ordered partitions of {1..n} with at least ``min_blocks`` blocks,
     as surjections onto {1..m} enumerated in lexicographic order."""
-    for m in range(min_blocks, n + 1):
+    for m in range(max(min_blocks, 0), n + 1):
         for blocks in _surjections(n, m):
             yield _partition(n, blocks)
 
@@ -322,11 +324,6 @@ def enumerate_facets(n: int) -> list[GammaFacet]:
 # vertices
 
 
-@lru_cache(maxsize=None)
-def _is_permutation(perm: tuple) -> bool:
-    return sorted(perm) == list(range(1, len(perm) + 1))
-
-
 @dataclass(frozen=True, slots=True)
 class GammaVertex:
     """A vertex: a permutation of {1..n} with a binary planar tree on n leaves."""
@@ -336,16 +333,9 @@ class GammaVertex:
 
     def __post_init__(self):
         n = len(self.perm)
-        try:
-            is_perm = _is_permutation(self.perm)
-        except TypeError:  # unhashable, so checked without the cache
-            is_perm = _is_permutation.__wrapped__(self.perm)
-        if not is_perm:
+        if sorted(self.perm) != list(range(1, n + 1)):
             raise ValueError("perm must be a permutation of {1..n}")
-        try:
-            leaves = _binary_leaves(self.tree)
-        except TypeError:  # unhashable, so not a tree of nested tuples
-            leaves = 0
+        leaves = _binary_leaves(self.tree)
         if leaves == 0 or leaves != n:  # 0 also rejects n = 0 with tree ()
             raise ValueError(
                 "tree must be a binary tree of nested pairs with one leaf per letter"
@@ -461,19 +451,14 @@ def flatten_vertex(face) -> GammaVertex:
         return GammaVertex((1,), LEAF)
     if face.dimension != 0:
         raise ValueError("face has positive dimension")
-    sub = [flatten_vertex(f) for f in face.factors]
-    return _graft_vertex(face.partition.blocks, face.ktree, sub)
-
-
-def _graft_vertex(blocks, ktree, vertices) -> GammaVertex:
-    """The vertex with one factor vertex per block grafted onto ``ktree``,
-    each factor's letters renamed into its block."""
+    # Graft one factor vertex per block, its letters renamed into the block.
+    vertices = [flatten_vertex(f) for f in face.factors]
     perm = tuple(
         block[v.perm[i] - 1]
-        for block, v in zip(blocks, vertices)
+        for block, v in zip(face.partition.blocks, vertices)
         for i in range(len(block))
     )
-    return GammaVertex(perm, graft(ktree, [v.tree for v in vertices]))
+    return GammaVertex(perm, graft(face.ktree, [v.tree for v in vertices]))
 
 
 @lru_cache(maxsize=None)
@@ -526,38 +511,21 @@ def degeneracy(label, j: int):
     part = label.partition
     which = next(i for i, b in enumerate(part.blocks) if j in b)
     block = part.blocks[which]
-
-    def renumber(x):
-        return x - 1 if x > j else x
-
+    blocks, factors, ktree = list(part.blocks), list(label.factors), label.ktree
     if len(block) == 1:
-        new_blocks = tuple(
-            tuple(renumber(x) for x in b)
-            for i, b in enumerate(part.blocks)
-            if i != which
-        )
-        new_factors = label.factors[:which] + label.factors[which + 1:]
-        ktree = delete_leaf(label.ktree, which)
-        if len(new_blocks) == 1:
+        # Drop the block with its factor and its leaf of the block tree.
+        del blocks[which], factors[which]
+        if len(blocks) == 1:
             # A single remaining block: the face is the surviving factor,
             # whose local letters already enumerate the remaining letters.
-            return label.factors[1 - which]
-        face = FaceProduct(
-            OrderedPartition(part.n - 1, new_blocks), ktree, new_factors
-        )
+            return factors[0]
+        ktree = delete_leaf(ktree, which)
     else:
-        local = sorted(block).index(j) + 1
-        new_blocks = tuple(
-            tuple(renumber(x) for x in (b if i != which else tuple(x for x in b if x != j)))
-            for i, b in enumerate(part.blocks)
-        )
-        new_factors = tuple(
-            f if i != which else degeneracy(f, local)
-            for i, f in enumerate(label.factors)
-        )
-        face = FaceProduct(
-            OrderedPartition(part.n - 1, new_blocks), label.ktree, new_factors
-        )
+        # The factor's letters 1, 2, ... are the block's, which is increasing.
+        blocks[which] = tuple(x for x in block if x != j)
+        factors[which] = degeneracy(factors[which], block.index(j) + 1)
+    new_blocks = tuple(tuple(x - 1 if x > j else x for x in b) for b in blocks)
+    face = FaceProduct(OrderedPartition(part.n - 1, new_blocks), ktree, tuple(factors))
     if face.dimension == 0:
         return flatten_vertex(face)
     return face

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -118,6 +119,18 @@ def test_k5_has_14_vertices():
     assert len(binary_trees(5)) == 14
 
 
+def test_binary_trees_match_planar_filter_in_order():
+    # The original enumeration, kept as the order reference: the planar trees
+    # whose every internal node has two children.
+    def is_binary(tree):
+        return tree is LEAF or (len(tree) == 2 and all(map(is_binary, tree)))
+
+    for m in range(1, 9):
+        assert binary_trees(m) == tuple(filter(is_binary, planar_trees(m))), m
+    with pytest.raises(ValueError):
+        binary_trees(0)
+
+
 def test_tree_dimensions():
     corolla = tuple([LEAF] * 4)
     assert tree_dim(corolla) == 2          # the whole polytope on 4 letters
@@ -171,6 +184,15 @@ def test_ordered_partitions_match_label_filter_in_order():
             want = [b for m in range(min_blocks, n + 1) for b in by_m[m]]
             got = [p.blocks for p in ordered_partitions(n, min_blocks)]
             assert got == want, (n, min_blocks)
+
+
+def test_ordered_partitions_ignore_a_negative_block_floor():
+    # No partition has fewer than zero blocks, so a negative floor is 0.
+    for n in range(4):
+        want = list(ordered_partitions(n, 0))
+        for min_blocks in range(-3, 0):
+            assert list(ordered_partitions(n, min_blocks)) == want, (n, min_blocks)
+    assert list(ordered_partitions(0, 0)) == [OrderedPartition(0, ())]
 
 
 def test_facets_match_oracle():
@@ -235,7 +257,7 @@ def test_partition_checks_keep_verdicts_and_messages():
 
 
 def test_permutation_check_accepts_lists():
-    # A list is unhashable, so it is checked without the per-tuple cache.
+    # The check sorts the letters, so any sequence of them is read.
     assert GammaVertex([2, 1], (LEAF, LEAF)).n == 2
     with pytest.raises(ValueError, match="permutation"):
         GammaVertex([1, 1], (LEAF, LEAF))
@@ -364,6 +386,29 @@ def test_degeneracy_digest_is_pinned():
     ]
     assert hashlib.sha256(json.dumps(images).encode()).hexdigest() == (
         "4340071ec0b67a73992a802d8f4c9eb1b3a7f77fd0d3cde8ed8f9158254d9eec"
+    )
+
+
+def test_operator_face_degeneracy_digest_is_pinned():
+    # degeneracy(face, j) for every face facet_face_operator makes on 2..4
+    # letters (each partition of at least two blocks, each planar block tree,
+    # each choice of factor among TopFace(t) and the vertices of Gamma_t) and
+    # every letter j: any change in what the face branch builds shows.
+    h = hashlib.sha256()
+    kinds = collections.Counter()
+    for n in range(2, 5):
+        for part in ordered_partitions(n):
+            choices = [[TopFace(t)] + enumerate_vertices(t) for t in part.type]
+            for ktree in planar_trees(part.m):
+                for factors in itertools.product(*choices):
+                    face = facet_face_operator(part, ktree, factors)
+                    for j in range(1, n + 1):
+                        out = degeneracy(face, j)
+                        kinds[type(out)] += 1
+                        h.update(repr(out).encode() + b"\n")
+    assert kinds == {GammaVertex: 17200, FaceProduct: 6456, TopFace: 28}
+    assert h.hexdigest() == (
+        "611cabae8806d79d918f91bd03c12ed010665d774fe17f12abe6731a18002ef4"
     )
 
 

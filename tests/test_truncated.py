@@ -262,8 +262,10 @@ def test_validate_wrong_top_power():
 def test_adem_instance_helper_matches_validate():
     a = s3_model(5, 2)
     assert adem_instance_holds(a, 1, 1, (1,))
+    assert validate_action(a).ok
     bad = AlgebraPresentation(5, [("y", 2)], {("y", 1): {(3,): 1}})
     assert not adem_instance_holds(bad, 1, 1, (1,))
+    assert AdemFailure(1, 1, (1,), 4) in validate_action(bad).adem_failures
 
 
 def reference_validate(a):
