@@ -34,10 +34,10 @@ from .truncated import (
     AlgebraError,
     AlgebraPresentation,
     Exponents,
-    adem_instance_holds,
     adem_instances,
     indecomposables,
     induced_q_map,
+    validate_action,
 )
 
 
@@ -530,7 +530,7 @@ def derive_actions(
     F_p; ``solve_polynomial_system`` eliminates what is linear and branches
     on what stays nonlinear.  ``max_unknowns`` bounds the variable count
     before any elimination.  With no variable, the one forced table is
-    checked numerically."""
+    checked by ``validate_action``."""
     check_odd_prime(p)
     if max_unknowns < 0:
         raise ValueError(f"max_unknowns must be >= 0, got {max_unknowns}")
@@ -552,12 +552,6 @@ def derive_actions(
     if total_unknowns > max_unknowns:
         raise DeriveBoundExceeded(total_unknowns, max_unknowns)
 
-    instances = [
-        (ae, be, exps)
-        for ae, be, d in adem_instances(p, tuple(probe.nonzero_degrees()), probe.top_degree)
-        for exps in probe.basis_of_degree(d)
-    ]
-
     def table(vector) -> AlgebraPresentation:
         coeffs = iter(vector)
         return AlgebraPresentation(p, gens, {
@@ -567,6 +561,11 @@ def derive_actions(
 
     if not total_unknowns:
         forced = table(())
-        return [forced] if all(adem_instance_holds(forced, *t) for t in instances) else []
+        return [forced] if validate_action(forced).ok else []
+    instances = [
+        (ae, be, exps)
+        for ae, be, d in adem_instances(p, tuple(probe.nonzero_degrees()), probe.top_degree)
+        for exps in probe.basis_of_degree(d)
+    ]
     equations = _adem_equations(probe, blocks, instances)
     return [table(v) for v in solve_polynomial_system(p, total_unknowns, equations)]

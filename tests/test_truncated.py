@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dnalg import truncated
 from dnalg.fp import FpMatrix, Subspace
 from dnalg.steenrod import (
     SteenrodElement,
@@ -21,9 +22,11 @@ from dnalg.truncated import (
     filtration,
     indecomposables,
     induced_q_map,
+    preserves_truncation,
     render_polynomial,
     validate_action,
 )
+from dnalg.theorems import derive_actions
 
 from conftest import derived, model_pool, random_element, random_table, s3_model
 
@@ -307,20 +310,96 @@ def perturbed(rng, a):
     return AlgebraPresentation(p, list(zip(a.names, a.half_degrees)), action)
 
 
+def total_powers(a):
+    """The total power P(y_i) = sum_k P^k y_i of every generator."""
+    return [
+        sum((a.action_entry(i, k) for k in range(1, m + 1)), a.gen(i))
+        for i, m in enumerate(a.half_degrees)
+    ]
+
+
 def test_validate_matches_reference_loop(pool):
     rng = random.Random(909)
-    models = list(pool) + [
+    # (3, (1, 1, 2)) holds 16 tables that do not preserve the truncation.
+    unstable_shape = derived(3, (1, 1, 2))
+    models = list(pool) + list(unstable_shape) + [
         model
         for p, l in ((3, 4), (5, 3), (7, 3))
         for model in derived(p, (1,) * l)
     ]
-    models += [perturbed(rng, a) for a in pool]
+    models += [perturbed(rng, a) for a in pool + unstable_shape]
+    # Some random (3, (2, 2)) tables break the truncation and pass every
+    # instance on the generators, yet fail on a decomposable.
+    models += [random_table(rng, 3, (2, 2)) for _ in range(200)]
     failures = 0
     for a in models:
         got = dataclasses.asdict(validate_action(a))
         assert got == dataclasses.asdict(reference_validate(a)), a
         failures += len(got["adem_failures"])
     assert failures > 100  # the perturbations exercise the failure order
+
+
+def test_sweep_runs_only_where_the_generator_proof_fails(pool, monkeypatch):
+    swept = []
+    sweep = truncated._adem_sweep
+
+    def spy(a, instances, by_degree):
+        if by_degree is a._degree_buckets():  # the per-monomial sweep
+            swept.append(a)
+        return sweep(a, instances, by_degree)
+
+    monkeypatch.setattr(truncated, "_adem_sweep", spy)
+    rng = random.Random(910)
+    unstable_shape = derived(3, (1, 1, 2))
+    for a in pool:
+        assert validate_action(a).ok
+    assert swept == []
+    for a in unstable_shape:
+        assert validate_action(a).ok  # accepted as before, by the sweep
+    assert len(swept) == 16
+    assert all(not preserves_truncation(a, total_powers(a)) for a in swept)
+    failing = 0
+    for a in [perturbed(rng, a) for a in pool + unstable_shape]:
+        swept.clear()
+        report = validate_action(a)
+        failing += not report.ok
+        assert bool(swept) == (not report.ok or not preserves_truncation(a, total_powers(a)))
+    assert failing > 50
+
+
+def test_instances_above_half_the_degree_vanish_on_generators(pool):
+    """The instability step of ``validate_action``'s proof: R_ab(y_i) = 0
+    whenever b > m_i and a < p*b, for every target degree up to the top."""
+    checked = 0
+    for model in pool:
+        p, top = model.p, model.top_degree
+        for i, m in enumerate(model.half_degrees):
+            unit = tuple(int(j == i) for j in range(model.l))
+            for b in range(m + 1, top):
+                for a_exp in range(1, p * b):
+                    if 2 * m + 2 * (a_exp + b) * (p - 1) > top:
+                        break
+                    assert adem_instance_holds(model, a_exp, b, unit), (model, a_exp, b, i)
+                    checked += 1
+    assert checked == 735
+
+
+def test_preserves_truncation_counts(pool):
+    def unstable(tables):
+        return sum(not preserves_truncation(a, total_powers(a)) for a in tables)
+
+    assert unstable(pool) == 0
+    for tables, count in (
+        (derived(3, (1, 1, 2)), (16, 30)),
+        (derive_actions(3, [1, 1, 1, 2], max_unknowns=19), (64, 98)),
+        (derived(7, (2, 2)), (0, 40)),
+    ):
+        assert (unstable(tables), len(tables)) == count
+    a = derived(3, (2, 2))[0]
+    y0, y1 = a.gen(0), a.gen(1)
+    assert preserves_truncation(a, [y0, y1, y0 * y1])
+    # (y4_0 + y4_1)^4 = y4_0^3 y4_1 + y4_0 y4_1^3
+    assert not preserves_truncation(a, [y0 + y1])
 
 
 def filtered_adem_instances(p, degrees, top):
