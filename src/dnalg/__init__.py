@@ -41,5 +41,4 @@ from .polytopes import (
     degeneracy,
     enumerate_facets,
     enumerate_vertices,
-    facet_face_operator,
 )

@@ -563,8 +563,12 @@ def main(argv=None) -> int:
         else render_text(report) + "\n"
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     if not args.quiet:
         sys.stdout.write(payload)
     return 0 if ok else 1

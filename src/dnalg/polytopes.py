@@ -1,45 +1,39 @@
 """Combinatorics of associahedra and permuto-associahedra.
 
-Faces of the associahedron on m letters are planar rooted trees with m
-leaves whose internal nodes all have at least two children; binary trees
-are the vertices.  The permuto-associahedron on n letters is an
-(n-1)-dimensional polytope whose facets are labelled by ordered partitions
-of {1..n} into at least two blocks; the facet of a partition of type
-(t_1,...,t_m) decomposes as a product of the associahedron on m letters
-and the smaller permuto-associahedra on t_1, ..., t_m letters, and its
-vertices are (permutation, binary tree) pairs obtained by grafting.
-
-Mid-dimensional faces beyond facets and vertices are exposed as nested
-labels produced by iterated face operators; their identifications are not
-modelled, so counts in between are best-effort and only vertex/facet data
-is used for cross-checked censuses.
+The vertices of the associahedron on m letters are the binary trees with m
+leaves.  The permuto-associahedron on n letters is an (n-1)-dimensional
+polytope whose facets are labelled by ordered partitions of {1..n} into at
+least two blocks; the facet of a partition of type (t_1,...,t_m)
+decomposes as a product of the associahedron on m letters and the smaller
+permuto-associahedra on t_1, ..., t_m letters, and its vertices are
+(permutation, binary tree) pairs obtained by grafting.  A face is its
+vertex set: only vertices and facets are built, and the degeneracy of a
+face is the image of its vertex set under ``degeneracy``.
 
 Enumeration is pure and deterministic (lexicographic everywhere), so
 results are stable across runs and safe to compute concurrently.
 
 Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
-tuples: ``planar_trees``, ``binary_trees`` and ``delete_leaf``.  Facet
-vertices are cached per facet type in ``_type_vertices``: by the product
-decomposition, the vertices of a facet depend on its partition only through
-the type, up to renaming letters, so each facet reads its type's grafted
-vertices and renames the letters block by block.  The caches are
-unbounded, but there are only Catalan-many trees per leaf count and
-2^(n-1) - 1 facet types on n letters.  The benchmark empties every
-functools cache in dnalg's namespaces before each job, so its timings
-include filling them.
+tuples: ``binary_trees`` and ``delete_leaf``.  Facet vertices are cached
+per facet type in ``_type_vertices``: by the product decomposition, the
+vertices of a facet depend on its partition only through the type, up to
+renaming letters, so each facet reads its type's grafted vertices and
+renames the letters block by block.  The caches are unbounded, but there
+are only Catalan-many trees per leaf count and 2^(n-1) - 1 facet types on
+n letters.  The benchmark empties every functools cache in dnalg's
+namespaces before each job, so its timings include filling them.
 
-The public constructors check every value they are given.  Three
-builders skip that check where the values are valid by construction.
-``enumerate_vertices``, ``facet_vertices`` and the vertex branch of
-``degeneracy`` build each ``GammaVertex`` with ``_vertex``: their
-permutations and trees come from ``itertools.permutations``,
-``binary_trees``, the letters of a checked ``OrderedPartition``, or
-deleting one letter and one leaf from a checked vertex.
-``ordered_partitions`` builds each ``OrderedPartition`` with
+The public constructors check every value they are given.  Three builders
+skip that check where the values are valid by construction.
+``enumerate_vertices``, ``facet_vertices`` and ``degeneracy`` build each
+``GammaVertex`` with ``_vertex``: their permutations and trees come from
+``itertools.permutations``, ``binary_trees``, the letters of a checked
+``OrderedPartition``, or deleting one letter and one leaf from a checked
+vertex.  ``ordered_partitions`` builds each ``OrderedPartition`` with
 ``_partition`` from the blocks of ``_surjections``, which are nonempty,
-increasing and cover {1..n}; ``enumerate_facets`` wraps each partition
-of at least two blocks with ``_facet``.  The tests rebuild every such
-object through the public constructor.
+increasing and cover {1..n}; ``enumerate_facets`` wraps each partition of
+at least two blocks with ``_facet``.  The tests rebuild every such object
+through the public constructor.
 """
 
 from __future__ import annotations
@@ -53,23 +47,6 @@ from operator import le
 LEAF = None  # leaves of planar trees
 
 
-def tree_leaves(tree) -> int:
-    if tree is LEAF:
-        return 1
-    return sum(tree_leaves(c) for c in tree)
-
-
-def tree_internal_nodes(tree) -> int:
-    if tree is LEAF:
-        return 0
-    return 1 + sum(tree_internal_nodes(c) for c in tree)
-
-
-def tree_dim(tree) -> int:
-    """Dimension of the associahedron face a tree labels: m-1-#internal."""
-    return tree_leaves(tree) - 1 - tree_internal_nodes(tree)
-
-
 def _binary_leaves(tree) -> int:
     """Leaf count of a binary tree of nested pairs, and 0 for anything else."""
     if tree is LEAF:
@@ -81,22 +58,9 @@ def _binary_leaves(tree) -> int:
 
 
 @lru_cache(maxsize=None)
-def planar_trees(m: int) -> tuple:
-    """All planar rooted trees with m leaves, internal nodes of arity >= 2."""
-    if m < 1:
-        raise ValueError("need at least one leaf")
-    if m == 1:
-        return (LEAF,)
-    out = []
-    for parts in _compositions(m, 2):
-        for children in itertools.product(*(planar_trees(t) for t in parts)):
-            out.append(tuple(children))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def binary_trees(m: int) -> tuple:
-    """All binary trees with m leaves, in the order of ``planar_trees``."""
+    """All binary trees with m leaves, by the left subtree's leaf count, then
+    the left subtree, then the right."""
     if m < 1:
         raise ValueError("need at least one leaf")
     if m == 1:
@@ -107,23 +71,6 @@ def binary_trees(m: int) -> tuple:
         for left in binary_trees(i)
         for right in binary_trees(m - i)
     )
-
-
-def _compositions(total: int, min_parts: int):
-    """Ordered compositions of ``total`` into at least ``min_parts`` positive
-    parts, lexicographically."""
-    out = []
-
-    def rec(remaining, acc):
-        if remaining == 0:
-            if len(acc) >= min_parts:
-                out.append(tuple(acc))
-            return
-        for part in range(1, remaining + 1):
-            rec(remaining - part, acc + [part])
-
-    rec(total, [])
-    return out
 
 
 def catalan(n: int) -> int:
@@ -345,10 +292,6 @@ class GammaVertex:
     def n(self) -> int:
         return len(self.perm)
 
-    @property
-    def dimension(self) -> int:
-        return 0
-
     def __str__(self):
         return f"{self.perm} {render_tree(self.tree)}"
 
@@ -378,87 +321,6 @@ def enumerate_vertices(n: int) -> list[GammaVertex]:
         for perm in itertools.permutations(range(1, n + 1))
         for tree in binary_trees(n)
     ]
-
-
-# ---------------------------------------------------------------------------
-# nested face labels and the face operator
-
-
-@dataclass(frozen=True)
-class TopFace:
-    """The whole permuto-associahedron on n letters, as a face label."""
-
-    n: int
-
-    @property
-    def dimension(self) -> int:
-        return self.n - 1
-
-
-@dataclass(frozen=True)
-class FaceProduct:
-    """A face sitting inside the facet of ``partition``: an associahedron
-    face for the blocks plus one face label per block."""
-
-    partition: OrderedPartition
-    ktree: object
-    factors: tuple
-
-    @property
-    def n(self) -> int:
-        return self.partition.n
-
-    @property
-    def dimension(self) -> int:
-        return tree_dim(self.ktree) + sum(f.dimension for f in self.factors)
-
-
-GammaFace = TopFace | FaceProduct | GammaVertex
-
-
-def facet_face_operator(partition: OrderedPartition, ktree, factors) -> GammaFace:
-    """Compose factor faces into a face of the ambient polytope.
-
-    ``ktree`` must have one leaf per block and each factor must be a face
-    label on that block's size.  Zero-dimensional input flattens to the
-    canonical (permutation, tree) vertex.
-    """
-    factors = tuple(factors)
-    if partition.m < 2:
-        raise ValueError("need at least two blocks")
-    if tree_leaves(ktree) != partition.m:
-        raise ValueError(
-            f"tree has {tree_leaves(ktree)} leaves for {partition.m} blocks"
-        )
-    if len(factors) != partition.m:
-        raise ValueError("one factor face per block")
-    for block, f in zip(partition.blocks, factors):
-        if f.n != len(block):
-            raise ValueError("factor face size does not match its block")
-    face = FaceProduct(partition, ktree, factors)
-    if face.dimension == 0:
-        return flatten_vertex(face)
-    return face
-
-
-def flatten_vertex(face) -> GammaVertex:
-    """Canonical (permutation, binary tree) form of a dimension-0 label."""
-    if isinstance(face, GammaVertex):
-        return face
-    if isinstance(face, TopFace):
-        if face.n != 1:
-            raise ValueError("only the one-letter polytope is itself a vertex")
-        return GammaVertex((1,), LEAF)
-    if face.dimension != 0:
-        raise ValueError("face has positive dimension")
-    # Graft one factor vertex per block, its letters renamed into the block.
-    vertices = [flatten_vertex(f) for f in face.factors]
-    perm = tuple(
-        block[v.perm[i] - 1]
-        for block, v in zip(face.partition.blocks, vertices)
-        for i in range(len(block))
-    )
-    return GammaVertex(perm, graft(face.ktree, [v.tree for v in vertices]))
 
 
 @lru_cache(maxsize=None)
@@ -494,41 +356,18 @@ def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:
 # degeneracies
 
 
-def degeneracy(label, j: int):
-    """Delete letter j and renumber the rest; collapses unary tree nodes and
-    empty blocks.  Defined for labels on at least two letters."""
-    n = label.n
+def degeneracy(v: GammaVertex, j: int) -> GammaVertex:
+    """Delete letter j and renumber the rest, collapsing the unary tree node
+    left behind.  Defined for vertices on at least two letters; a face is its
+    vertex set, so the degeneracy of a face is the image of that set."""
+    n = v.n
     if not 1 <= j <= n:
         raise ValueError("letter out of range")
     if n < 2:
         raise ValueError("cannot delete from a one-letter label")
-    if isinstance(label, GammaVertex):
-        pos = label.perm.index(j)
-        perm = tuple(x - 1 if x > j else x for x in label.perm if x != j)
-        return _vertex(perm, delete_leaf(label.tree, pos))
-    if isinstance(label, TopFace):
-        return TopFace(label.n - 1)
-    part = label.partition
-    which = next(i for i, b in enumerate(part.blocks) if j in b)
-    block = part.blocks[which]
-    blocks, factors, ktree = list(part.blocks), list(label.factors), label.ktree
-    if len(block) == 1:
-        # Drop the block with its factor and its leaf of the block tree.
-        del blocks[which], factors[which]
-        if len(blocks) == 1:
-            # A single remaining block: the face is the surviving factor,
-            # whose local letters already enumerate the remaining letters.
-            return factors[0]
-        ktree = delete_leaf(ktree, which)
-    else:
-        # The factor's letters 1, 2, ... are the block's, which is increasing.
-        blocks[which] = tuple(x for x in block if x != j)
-        factors[which] = degeneracy(factors[which], block.index(j) + 1)
-    new_blocks = tuple(tuple(x - 1 if x > j else x for x in b) for b in blocks)
-    face = FaceProduct(OrderedPartition(part.n - 1, new_blocks), ktree, tuple(factors))
-    if face.dimension == 0:
-        return flatten_vertex(face)
-    return face
+    pos = v.perm.index(j)
+    perm = tuple(x - 1 if x > j else x for x in v.perm if x != j)
+    return _vertex(perm, delete_leaf(v.tree, pos))
 
 
 # ---------------------------------------------------------------------------

@@ -156,14 +156,19 @@ def test_missing_file_exit_two(capsys):
         ["check-dn", "--n", "3", "--theta-dim-bound", "-1", "{p5}"],
         ["max-dn", "--max-support", "0", "{p5}"],
         ["max-dn", "--theta-dim-bound", "-1", "{p5}"],
+        ["thmc", "--p", "5", "--dims", "3", "--out", "{tmp}"],  # a directory
+        ["thmc", "--p", "5", "--dims", "3", "--out", "{tmp}/missing/r.json"],
     ],
 )
 def test_invalid_arguments_exit_two(capsys, tmp_path, argv):
     # {p5} stands for a file holding a valid p = 5 model on one generator
-    # of half-degree 4.
+    # of half-degree 4, and {tmp} for a directory that exists.
     model = tmp_path / "p5.alg"
     model.write_text(render_presentation(s3_model(5, 4)))
-    code = main([str(model) if arg == "{p5}" else arg for arg in argv])
+    code = main([
+        str(model) if arg == "{p5}" else arg.replace("{tmp}", str(tmp_path))
+        for arg in argv
+    ])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

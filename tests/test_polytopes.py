@@ -10,11 +10,9 @@ import pytest
 
 from dnalg.polytopes import (
     LEAF,
-    FaceProduct,
     GammaFacet,
     GammaVertex,
     OrderedPartition,
-    TopFace,
     _facet,
     _partition,
     _type_vertices,
@@ -26,16 +24,11 @@ from dnalg.polytopes import (
     delete_leaf,
     enumerate_facets,
     enumerate_vertices,
-    facet_face_operator,
     facet_vertices,
-    flatten_vertex,
     graft,
     ordered_partitions,
-    planar_trees,
     render_tree,
     stirling2,
-    tree_dim,
-    tree_leaves,
 )
 
 
@@ -79,11 +72,17 @@ def filtered_ordered_partitions(n, m):
 
 
 def flattened_facet_vertices(facet):
-    """The original facet-vertex enumeration, kept as the order reference: one
-    throwaway FaceProduct per vertex, flattened."""
+    """The original facet-vertex enumeration, kept as the order reference:
+    for each block tree and each choice of one vertex per block, rename each
+    vertex's letters into its block, then graft the vertices' trees onto the
+    block tree, one per leaf."""
     m, types = facet.decomposition
+    blocks = facet.partition.blocks
     return [
-        flatten_vertex(FaceProduct(facet.partition, ktree, tuple(combo)))
+        GammaVertex(
+            tuple(block[i - 1] for block, v in zip(blocks, combo) for i in v.perm),
+            graft(ktree, [v.tree for v in combo]),
+        )
         for ktree in binary_trees(m)
         for combo in itertools.product(*(enumerate_vertices(t) for t in types))
     ]
@@ -120,23 +119,11 @@ def test_k5_has_14_vertices():
 
 
 def test_binary_trees_match_planar_filter_in_order():
-    # The original enumeration, kept as the order reference: the planar trees
-    # whose every internal node has two children.
-    def is_binary(tree):
-        return tree is LEAF or (len(tree) == 2 and all(map(is_binary, tree)))
-
+    # The independent bracketing enumeration is the order reference.
     for m in range(1, 9):
-        assert binary_trees(m) == tuple(filter(is_binary, planar_trees(m))), m
+        assert binary_trees(m) == tuple(oracle_binary_trees(m)), m
     with pytest.raises(ValueError):
         binary_trees(0)
-
-
-def test_tree_dimensions():
-    corolla = tuple([LEAF] * 4)
-    assert tree_dim(corolla) == 2          # the whole polytope on 4 letters
-    for t in binary_trees(4):
-        assert tree_dim(t) == 0
-    assert len(planar_trees(4)) == 11      # all faces of the 2-dimensional case
 
 
 def test_graft_and_delete_leaf():
@@ -294,25 +281,7 @@ def test_vertices_are_distinct():
 
 
 # ---------------------------------------------------------------------------
-# the face operator
-
-
-def test_face_operator_flattens_to_vertex():
-    part = OrderedPartition(3, ((1, 2), (3,)))
-    v2 = enumerate_vertices(2)[0]
-    v1 = GammaVertex((1,), LEAF)
-    out = facet_face_operator(part, (LEAF, LEAF), [v2, v1])
-    assert isinstance(out, GammaVertex)
-    assert out.n == 3
-
-
-def test_face_operator_rejects_arity_mismatch():
-    part = OrderedPartition(3, ((1, 2), (3,)))
-    v1 = GammaVertex((1,), LEAF)
-    with pytest.raises(ValueError):
-        facet_face_operator(part, (LEAF, LEAF, LEAF), [v1, v1])
-    with pytest.raises(ValueError):
-        facet_face_operator(part, (LEAF, LEAF), [v1, v1])
+# facet vertices
 
 
 def test_facet_vertex_counts_three_letters():
@@ -378,7 +347,7 @@ def test_enumeration_digest_is_pinned():
 
 def test_degeneracy_digest_is_pinned():
     # degeneracy(v, j) for every vertex v of Gamma_5 in enumeration order and
-    # j = 1..5 in turn: any change in what the vertex branch builds shows.
+    # j = 1..5 in turn: any change in what degeneracy builds shows.
     images = [
         (w.perm, w.tree)
         for v in enumerate_vertices(5)
@@ -386,29 +355,6 @@ def test_degeneracy_digest_is_pinned():
     ]
     assert hashlib.sha256(json.dumps(images).encode()).hexdigest() == (
         "4340071ec0b67a73992a802d8f4c9eb1b3a7f77fd0d3cde8ed8f9158254d9eec"
-    )
-
-
-def test_operator_face_degeneracy_digest_is_pinned():
-    # degeneracy(face, j) for every face facet_face_operator makes on 2..4
-    # letters (each partition of at least two blocks, each planar block tree,
-    # each choice of factor among TopFace(t) and the vertices of Gamma_t) and
-    # every letter j: any change in what the face branch builds shows.
-    h = hashlib.sha256()
-    kinds = collections.Counter()
-    for n in range(2, 5):
-        for part in ordered_partitions(n):
-            choices = [[TopFace(t)] + enumerate_vertices(t) for t in part.type]
-            for ktree in planar_trees(part.m):
-                for factors in itertools.product(*choices):
-                    face = facet_face_operator(part, ktree, factors)
-                    for j in range(1, n + 1):
-                        out = degeneracy(face, j)
-                        kinds[type(out)] += 1
-                        h.update(repr(out).encode() + b"\n")
-    assert kinds == {GammaVertex: 17200, FaceProduct: 6456, TopFace: 28}
-    assert h.hexdigest() == (
-        "611cabae8806d79d918f91bd03c12ed010665d774fe17f12abe6731a18002ef4"
     )
 
 
@@ -485,15 +431,6 @@ def test_vertex_facet_incidences():
         assert incidences == sum(f.vertex_count() for f in facets)
 
 
-def test_dimension_additivity():
-    part = OrderedPartition(4, ((1, 3), (2, 4)))
-    face = facet_face_operator(
-        part, (LEAF, LEAF), [TopFace(2), TopFace(2)]
-    )
-    assert isinstance(face, FaceProduct)
-    assert face.dimension == 2  # = n - 2
-
-
 # ---------------------------------------------------------------------------
 # degeneracies
 
@@ -520,28 +457,32 @@ def test_degeneracy_covers_all_vertices():
         assert images == set(enumerate_vertices(n - 1))
 
 
-def test_degeneracy_on_faces():
-    part = OrderedPartition(3, ((1, 2), (3,)))
-    face = facet_face_operator(part, (LEAF, LEAF), [TopFace(2), TopFace(1)])
-    out = degeneracy(face, 3)
-    # removing the singleton block leaves the whole two-letter polytope
-    assert out == TopFace(2)
-    out2 = degeneracy(face, 1)
-    assert out2.n == 2
-
-
-def test_degeneracy_closure_on_operator_faces():
-    # every operator-produced face of the 4-letter polytope degenerates to a
-    # well-formed label on 3 letters
-    part = OrderedPartition(4, ((1, 4), (2, 3)))
-    for ktree in planar_trees(2):
-        for f1 in [TopFace(2)] + list(enumerate_vertices(2)):
-            for f2 in [TopFace(2)] + list(enumerate_vertices(2)):
-                face = facet_face_operator(part, ktree, [f1, f2])
-                for j in (1, 2, 3, 4):
-                    out = degeneracy(face, j)
-                    assert out.n == 3
-                    assert 0 <= out.dimension <= 2
+def test_degeneracy_of_a_facet_is_a_face():
+    # A face is its vertex set, so the degeneracy s_j of a facet F of Gamma_n
+    # is the image of F's vertices.  It is all of Gamma_{n-1} exactly when F
+    # has two blocks and one of them is {j}; otherwise it is the facet whose
+    # blocks are F's with j deleted, the letters renumbered and an emptied
+    # block dropped.
+    whole_images, facet_images = collections.Counter(), collections.Counter()
+    for n in range(2, 6):
+        whole = set(enumerate_vertices(n - 1))
+        for facet in enumerate_facets(n):
+            vertices = facet_vertices(facet)
+            for j in range(1, n + 1):
+                image = {degeneracy(v, j) for v in vertices}
+                if facet.partition.m == 2 and (j,) in facet.partition.blocks:
+                    assert image == whole, (str(facet.partition), j)
+                    whole_images[n] += 1
+                    continue
+                renamed = (
+                    tuple(x - (x > j) for x in block if x != j)
+                    for block in facet.partition.blocks
+                )
+                face = GammaFacet(OrderedPartition(n - 1, tuple(filter(None, renamed))))
+                assert image == set(facet_vertices(face)), (str(facet.partition), j)
+                facet_images[n] += 1
+    assert whole_images == {n: 2 * n for n in range(2, 6)}
+    assert facet_images == {3: 30, 4: 288, 5: 2690}
 
 
 # ---------------------------------------------------------------------------

@@ -580,6 +580,19 @@ def test_derive_infeasible_configurations_are_empty():
     assert derived(3, (2, 4)) == ()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_derive_is_empty_exactly_off_the_classical_degrees(p):
+    # The one-generator case of Steenrod's realization problem: a table on
+    # one generator of half-degree m exists exactly when m = p^k * d with
+    # d dividing p - 1.
+    for m in range(1, 2 * p + 1):
+        d = m
+        while d % p == 0:
+            d //= p
+        want = (p - 1) % d == 0
+        assert bool(derive_actions(p, [m], max_unknowns=64)) == want, (p, m)
+
+
 DERIVE_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "derive_tables.json").read_text()
 )
