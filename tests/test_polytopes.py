@@ -485,6 +485,65 @@ def test_degeneracy_of_a_facet_is_a_face():
     assert facet_images == {3: 30, 4: 288, 5: 2690}
 
 
+def test_operator_face_degeneracy_digest_is_pinned():
+    # The image under degeneracy(., j) of every facet of Gamma_2..Gamma_5, in
+    # enumeration order, and every letter j, as the sorted positions of its
+    # vertices in enumerate_vertices(n - 1): any change in what the
+    # degeneracy of a face is shows.
+    h = hashlib.sha256()
+    kinds = collections.Counter()
+    for n in range(2, 6):
+        index = {v: i for i, v in enumerate(enumerate_vertices(n - 1))}
+        for facet in enumerate_facets(n):
+            vertices = facet_vertices(facet)
+            for j in range(1, n + 1):
+                image = sorted({index[degeneracy(v, j)] for v in vertices})
+                kinds["whole" if len(image) == len(index) else "facet"] += 1
+                h.update(json.dumps(image).encode() + b"\n")
+    assert kinds == {"whole": 28, "facet": 3008}
+    assert h.hexdigest() == (
+        "b388bd26f6cacff3be3aa99de61294cf7b0413e79affa97b4c9cc53b400f7832"
+    )
+
+
+def test_degeneracy_on_faces():
+    facet = GammaFacet(OrderedPartition(3, ((1, 2), (3,))))
+    vertices = facet_vertices(facet)
+    # removing the singleton block leaves the whole two-letter polytope
+    assert {degeneracy(v, 3) for v in vertices} == set(enumerate_vertices(2))
+    # removing a letter of the other block leaves a facet of Gamma_2
+    edge = GammaFacet(OrderedPartition(2, ((1,), (2,))))
+    assert {degeneracy(v, 1) for v in vertices} == set(facet_vertices(edge))
+
+
+def test_degeneracy_closure_on_operator_faces():
+    # Every face of the facet (1 4 | 2 3) of Gamma_4, as a vertex set: each
+    # block is either all of Gamma_2 or one of its vertices.  Its image under
+    # each letter lies in the image of the facet, a facet of Gamma_3, and has
+    # at most as many vertices; a vertex goes to a vertex.
+    facet = GammaFacet(OrderedPartition(4, ((1, 4), (2, 3))))
+    vertices = facet_vertices(facet)
+    # one binary tree on two blocks, so the vertices run over the block
+    # vertices in product order
+    blocks = list(itertools.product(range(2), repeat=2))
+    assert len(vertices) == len(blocks) == 4
+    gamma3 = set(enumerate_vertices(3))
+    for choice in itertools.product((None, 0, 1), repeat=2):
+        face = {
+            v
+            for v, picks in zip(vertices, blocks)
+            if all(c is None or c == k for c, k in zip(choice, picks))
+        }
+        assert len(face) == 2 ** choice.count(None)
+        for j in (1, 2, 3, 4):
+            image = {degeneracy(v, j) for v in face}
+            facet_image = {degeneracy(v, j) for v in vertices}
+            assert image <= facet_image < gamma3
+            assert 1 <= len(image) <= len(face)
+            if len(face) == 1:
+                assert len(image) == 1
+
+
 # ---------------------------------------------------------------------------
 # census
 
