@@ -158,6 +158,7 @@ class OrderedPartition:
             size += len(block)
         if size != len(seen) or seen != set(range(1, self.n + 1)):
             raise ValueError("blocks must partition {1..n}")
+        _set_blocks(self, tuple(map(tuple, self.blocks)))
 
     @property
     def type(self) -> tuple[int, ...]:
@@ -287,6 +288,7 @@ class GammaVertex:
             raise ValueError(
                 "tree must be a binary tree of nested pairs with one leaf per letter"
             )
+        _set_perm(self, tuple(self.perm))
 
     @property
     def n(self) -> int:

@@ -6,7 +6,8 @@ normalized presentations; surjectivity/vanishing/isomorphism sweeps for the
 induced maps on indecomposables; a Frobenius-degree reduction that divides
 all generator degrees by p; an upper bound for compatible higher
 commutativity on products of odd spheres; and a solver that finds all
-Adem-consistent action tables for given generator degrees.
+Adem-consistent action tables that preserve the truncation, for given
+generator degrees.
 
 Everything here is a pure function with deterministic output order; the
 solver returns the tables in lexicographic order of their coefficients.
@@ -464,21 +465,28 @@ class DeriveBoundExceeded(RuntimeError):
         self.bound = bound
 
 
-def _adem_equations(a: AlgebraPresentation, blocks, instances) -> list[Poly]:
-    """The coefficients of LHS - RHS of every instance (P^a, P^b, monomial),
-    as polynomials over F_p in the free entries of ``blocks``: variable v is
-    the v-th basis coefficient, counting through the blocks in order."""
-    p, one = a.p, {(): 1}
-    # (generator, power index) -> {monomial: coefficient polynomial}
+def _symbolic_entries(a: AlgebraPresentation, blocks) -> dict[tuple[int, int], dict[Exponents, Poly]]:
+    """P^k y_i for 0 <= k <= m_i, as {monomial: coefficient polynomial} over
+    F_p in the free entries of ``blocks``: variable v is the v-th basis
+    coefficient, counting through the blocks in order.  P^0 y_i = y_i and
+    P^{m_i} y_i = y_i^p are forced."""
+    one = {(): 1}
     entries: dict[tuple[int, int], dict[Exponents, Poly]] = {}
     for i, m in enumerate(a.half_degrees):
         unit = tuple(int(j == i) for j in range(a.l))
         entries[(i, 0)] = {unit: one}
-        entries[(i, m)] = {tuple(p * e for e in unit): one}
+        entries[(i, m)] = {tuple(a.p * e for e in unit): one}
     v = 0
     for i, k, basis in blocks:
         entries[(i, k)] = {e: {(v + n,): 1} for n, e in enumerate(basis)}
         v += len(basis)
+    return entries
+
+
+def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
+    """The coefficients of LHS - RHS of every instance (P^a, P^b, monomial),
+    as polynomials in the variables of ``entries`` (see ``_symbolic_entries``)."""
+    p, one = a.p, {(): 1}
     memo: dict[tuple[int, Exponents], dict[Exponents, Poly]] = {}
 
     def power(k: int, exps: Exponents) -> dict[Exponents, Poly]:
@@ -517,20 +525,50 @@ def _adem_equations(a: AlgebraPresentation, blocks, instances) -> list[Poly]:
     return equations
 
 
+def _truncation_equations(a: AlgebraPresentation, entries) -> list[Poly]:
+    """Every coefficient of P(y_i)^{p+1}, where P(y_i) = sum_k P^k y_i, in
+    the variables of ``entries``.  By Frobenius P(y_i)^p = sum c^p * mono^p
+    over the square-free monomials of P(y_i), and c^p = c as a function on
+    F_p^n, so each equation is quadratic: the coefficients of
+    (sum c * mono^p) * P(y_i)."""
+    p = a.p
+    equations = []
+    for i, m in enumerate(a.half_degrees):
+        # The entries have distinct degrees, so their monomials are distinct.
+        total = {e: f for k in range(m + 1) for e, f in entries[(i, k)].items()}
+        acc: dict[Exponents, dict] = {}
+        for e1, c1 in total.items():
+            if max(e1) > 1:
+                continue
+            frob = tuple(p * x for x in e1)
+            for e2, c2 in total.items():
+                e = tuple(map(add, frob, e2))
+                if max(e) <= p:
+                    poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
+        equations.extend(poly_reduce(f, p) for f in acc.values())
+    return equations
+
+
 def derive_actions(
     p: int, half_degrees: list[int], max_unknowns: int = 12
 ) -> list[AlgebraPresentation]:
-    """All Adem-consistent action tables on T^{[p+1]} generators of the given
-    half-degrees, in lexicographic order of their coefficient vectors.
+    """All action tables on T^{[p+1]} generators of the given half-degrees
+    that preserve the truncation and satisfy every in-range Adem instance,
+    in lexicographic order of their coefficient vectors.
 
     Each coefficient of P^k y_i (1 <= k < m_i) on the degree basis is one
     variable, numbered k-major, then by generator, then in basis order
-    (P^{m_i} y_i = y_i^p is forced).  Each coefficient of P^a P^b minus its
-    normal form, on each basis monomial, is one polynomial equation over
-    F_p; ``solve_polynomial_system`` eliminates what is linear and branches
-    on what stays nonlinear.  ``max_unknowns`` bounds the variable count
-    before any elimination.  With no variable, the one forced table is
-    checked by ``validate_action``."""
+    (P^{m_i} y_i = y_i^p is forced).  The equations over F_p are the
+    coefficients of P^a P^b y_i minus its normal form, for every in-range
+    instance on the generator y_i of its degree, and of P(y_i)^{p+1}, where
+    P(y_i) = sum_k P^k y_i is the total power (``_truncation_equations``).
+    By the proposition in ``validate_action``'s docstring, the solutions are
+    exactly the stable tables that ``validate_action`` accepts; it also
+    accepts some unstable ones, such as 16 on (3,(1,1,2)), which are not
+    listed.  ``solve_polynomial_system`` eliminates what is linear and
+    branches on what stays nonlinear.  ``max_unknowns`` bounds the variable
+    count before any elimination.  With no variable, the one forced table
+    (stable, as P(y_i) = y_i + y_i^p) is checked by ``validate_action``."""
     check_odd_prime(p)
     if max_unknowns < 0:
         raise ValueError(f"max_unknowns must be >= 0, got {max_unknowns}")
@@ -563,9 +601,11 @@ def derive_actions(
         forced = table(())
         return [forced] if validate_action(forced).ok else []
     instances = [
-        (ae, be, exps)
-        for ae, be, d in adem_instances(p, tuple(probe.nonzero_degrees()), probe.top_degree)
-        for exps in probe.basis_of_degree(d)
+        (ae, be, tuple(int(j == i) for j in range(len(ms))))
+        for ae, be, d in adem_instances(p, tuple(sorted(set(probe.degrees))), probe.top_degree)
+        for i, m in enumerate(ms)
+        if 2 * m == d
     ]
-    equations = _adem_equations(probe, blocks, instances)
+    entries = _symbolic_entries(probe, blocks)
+    equations = _adem_equations(probe, entries, instances) + _truncation_equations(probe, entries)
     return [table(v) for v in solve_polynomial_system(p, total_unknowns, equations)]

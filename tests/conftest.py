@@ -11,15 +11,88 @@ import random
 
 import pytest
 
+from dnalg import theorems
 from dnalg.cli import render_presentation
 from dnalg.dn import max_dn
+from dnalg.fp import solve_polynomial_system
 from dnalg.theorems import check_thm_a, derive_actions, normalize_generators
-from dnalg.truncated import AlgebraPresentation, render_polynomial, validate_action
+from dnalg.truncated import (
+    AlgebraPresentation,
+    adem_instances,
+    preserves_truncation,
+    render_polynomial,
+    validate_action,
+)
 
 
 @functools.lru_cache(maxsize=None)
 def derived(p: int, half_degrees: tuple[int, ...]):
     return tuple(derive_actions(p, list(half_degrees), max_unknowns=12))
+
+
+def free_entries(p: int, half_degrees: tuple[int, ...]):
+    """The generator-only presentation of ``derive_actions``'s tables, and
+    one block (generator index, k, degree basis) per free entry P^k y_i, in
+    the order of its variables: k-major, then generator, then basis."""
+    ms = sorted(half_degrees)
+    names = [f"y{2 * m}" for m in ms]
+    if len(set(names)) != len(names):
+        names = [f"y{2 * m}_{i}" for i, m in enumerate(ms)]
+    probe = AlgebraPresentation(p, list(zip(names, ms)))
+    blocks = [
+        (i, k, probe.basis_of_degree(2 * m + 2 * k * (p - 1)))
+        for k in range(1, max(ms))
+        for i, m in enumerate(ms)
+        if k < m
+    ]
+    return probe, blocks
+
+
+def table_of(probe: AlgebraPresentation, blocks, vector) -> AlgebraPresentation:
+    """The table whose free entries have the coefficients ``vector``."""
+    coeffs = iter(vector)
+    action = {
+        (probe.names[i], k): {e: c for e, c in zip(basis, coeffs) if c}
+        for i, k, basis in blocks
+    }
+    return AlgebraPresentation(probe.p, list(zip(probe.names, probe.half_degrees)), action)
+
+
+def entry_vector(a: AlgebraPresentation, blocks) -> tuple[int, ...]:
+    """The coefficients of the free entries of ``a``, in variable order."""
+    return tuple(a.action_entry(i, k).coefficient(e) for i, k, basis in blocks for e in basis)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_derived(p: int, half_degrees: tuple[int, ...]):
+    """Every table on which each in-range Adem instance holds on every basis
+    monomial: the per-monomial system, with no truncation equation, solved
+    by the same solver.  It lists unstable tables too."""
+    probe, blocks = free_entries(p, half_degrees)
+    instances = [
+        (ae, be, exps)
+        for ae, be, d in adem_instances(p, tuple(probe.nonzero_degrees()), probe.top_degree)
+        for exps in probe.basis_of_degree(d)
+    ]
+    entries = theorems._symbolic_entries(probe, blocks)
+    equations = theorems._adem_equations(probe, entries, instances)
+    unknowns = sum(len(basis) for *_, basis in blocks)
+    return tuple(
+        table_of(probe, blocks, v) for v in solve_polynomial_system(p, unknowns, equations)
+    )
+
+
+def total_powers(a):
+    """The total power P(y_i) = sum_k P^k y_i of every generator."""
+    return [
+        sum((a.action_entry(i, k) for k in range(1, m + 1)), a.gen(i))
+        for i, m in enumerate(a.half_degrees)
+    ]
+
+
+def stable(tables):
+    """The tables whose total powers preserve the truncation."""
+    return [a for a in tables if preserves_truncation(a, total_powers(a))]
 
 
 # (prime, half-degree tuple) combinations whose exhaustive derivation is

@@ -236,7 +236,13 @@ def test_partition_checks_keep_verdicts_and_messages():
     for n, blocks in cases:
         want = reference_partition_error(n, blocks)
         if want is None:
-            assert OrderedPartition(n, blocks).blocks == blocks
+            # Lists are stored as tuples: the object equals, and hashes
+            # like, the one built from tuples.
+            as_tuples = tuple(map(tuple, blocks))
+            part = OrderedPartition(n, blocks)
+            assert part.blocks == as_tuples
+            assert part == OrderedPartition(n, as_tuples)
+            assert hash(part) == hash(OrderedPartition(n, as_tuples))
         else:
             with pytest.raises(ValueError) as err:
                 OrderedPartition(n, blocks)
@@ -244,8 +250,13 @@ def test_partition_checks_keep_verdicts_and_messages():
 
 
 def test_permutation_check_accepts_lists():
-    # The check sorts the letters, so any sequence of them is read.
-    assert GammaVertex([2, 1], (LEAF, LEAF)).n == 2
+    # The check sorts the letters, so any sequence of them is read; it is
+    # stored as a tuple, so the vertex equals, and hashes like, the one
+    # built from a tuple.
+    v = GammaVertex([2, 1], (LEAF, LEAF))
+    assert v.n == 2 and v.perm == (2, 1)
+    assert v == GammaVertex((2, 1), (LEAF, LEAF))
+    assert hash(v) == hash(GammaVertex((2, 1), (LEAF, LEAF)))
     with pytest.raises(ValueError, match="permutation"):
         GammaVertex([1, 1], (LEAF, LEAF))
 

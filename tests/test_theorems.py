@@ -8,8 +8,8 @@ import pytest
 
 from dnalg import theorems
 from dnalg.cli import render_presentation
-from dnalg.dn import check_dn
-from dnalg.fp import solve
+from dnalg.dn import check_dn, max_dn
+from dnalg.fp import _poly_value, solve
 from dnalg.steenrod import SteenrodElement
 from dnalg.theorems import (
     DeriveBoundExceeded,
@@ -36,10 +36,15 @@ from conftest import (
     POOL_TUPLES,
     decide_digests,
     derived,
+    entry_vector,
+    free_entries,
     model_pool,
+    oracle_derived,
     random_element,
     random_table,
     s3_model,
+    stable,
+    table_of,
 )
 
 
@@ -313,6 +318,16 @@ def test_thm_a_passes_on_torus_like_models():
             assert check_thm_a(a).ok
 
 
+def test_thm_a_holds_on_every_pool_table_above_half_p(pool):
+    # Theorem A: a stable table with max_dn > (p-1)/2 passes all three
+    # families.  s3_model(5, 2) fails A3 at max_dn = 2 = (p-1)/2, so the
+    # hypothesis is sharp.
+    above = [a for a in pool if 2 * max_dn(a) > a.p - 1]
+    assert len(above) == 16
+    for a in above:
+        assert check_thm_a(a).ok, a
+
+
 def test_thm_a_iso_on_linked_table():
     # on the linked two-generator table the induced map is invertible
     a = AlgebraPresentation(
@@ -549,28 +564,34 @@ BRUTE_FORCE_SHAPES = [
 def test_derive_matches_brute_force_validation(p, ms):
     # Independent oracle: walk every coefficient vector of the free entries
     # (k-major, then generator, then basis order) in itertools.product order
-    # and keep a table iff validate_action accepts it.
-    names = [f"y{2 * m}" for m in ms]
-    if len(set(names)) != len(names):
-        names = [f"y{2 * m}_{i}" for i, m in enumerate(ms)]
-    gens = list(zip(names, ms))
-    probe = AlgebraPresentation(p, gens)
-    blocks = [
-        ((names[i], k), probe.basis_of_degree(2 * m + 2 * k * (p - 1)))
-        for k in range(1, max(ms))
-        for i, m in enumerate(ms)
-        if k < m
-    ]
-    unknowns = sum(len(basis) for _, basis in blocks)
+    # and keep a table iff validate_action accepts it and its total powers
+    # preserve the truncation.
+    probe, blocks = free_entries(p, ms)
+    unknowns = sum(len(basis) for *_, basis in blocks)
     assert 0 < unknowns and p ** unknowns <= 729
     kept = []
     for vector in itertools.product(range(p), repeat=unknowns):
-        coeffs = iter(vector)
-        action = {key: {e: c for e, c in zip(basis, coeffs) if c} for key, basis in blocks}
-        table = AlgebraPresentation(p, gens, action)
-        if validate_action(table).ok:
+        table = table_of(probe, blocks, vector)
+        if validate_action(table).ok and stable([table]):
             kept.append(render_presentation(table))
     assert [render_presentation(a) for a in derived(p, ms)] == kept
+
+
+def test_truncation_equations_vanish_exactly_on_stable_tables():
+    # At a numeric table, every coefficient of P(y_i)^{p+1} vanishes iff
+    # preserves_truncation holds on the total powers.
+    rng = random.Random(61)
+    cases = [(a, free_entries(3, (1, 1, 2))) for a in oracle_derived(3, (1, 1, 2))]
+    cases += [(random_table(rng, 3, (2, 2)), free_entries(3, (2, 2))) for _ in range(200)]
+    verdicts = []
+    for a, (probe, blocks) in cases:
+        equations = theorems._truncation_equations(probe, theorems._symbolic_entries(probe, blocks))
+        point = dict(enumerate(entry_vector(a, blocks)))
+        vanish = not any(_poly_value(f, point, a.p) for f in equations)
+        assert vanish == bool(stable([a])), a
+        verdicts.append(vanish)
+    assert verdicts[:30].count(False) == 16
+    assert 0 < verdicts[30:].count(True) < 200
 
 
 def test_derive_infeasible_configurations_are_empty():
@@ -610,12 +631,32 @@ def test_derive_reproduces_golden_tables(shape):
     assert hashlib.sha256(rendered.encode()).hexdigest() == want["sha256"]
 
 
+ORACLE_SHAPES = [(shape, 12) for shape in sorted(DERIVE_GOLDEN)] + [
+    ("3:1,1,2", 12), ("3:1,1,1,2", 19),
+]
+
+
+@pytest.mark.parametrize("shape,max_unknowns", ORACLE_SHAPES)
+def test_derive_equals_the_stable_tables_of_the_per_monomial_system(shape, max_unknowns):
+    # The oracle solves every Adem instance on every basis monomial; derive
+    # solves the instances on the generators plus the truncation equations.
+    # By validate_action's proposition they agree on the stable tables.
+    p, ms = shape.split(":")
+    p, ms = int(p), tuple(int(m) for m in ms.split(","))
+    tables = derive_actions(p, list(ms), max_unknowns=max_unknowns)
+    want = stable(oracle_derived(p, ms))
+    assert [render_presentation(a) for a in tables] == [render_presentation(a) for a in want]
+
+
 def test_derive_reproduces_tables_beyond_the_default_bound():
     # (3,(2,2,2)) has 18 unknowns, so the default max_unknowns=12 refuses
     # it.  The digest (same form as derive_tables.json) was generated by the
-    # polynomial-system solver; every one of the 128 tables passed
-    # validate_action, and plain one-variable-at-a-time elimination over
-    # the same equations gave the same list.
+    # polynomial-system solver over every Adem instance on every basis
+    # monomial; every one of the 128 tables passed validate_action and
+    # preserves the truncation, and plain one-variable-at-a-time
+    # elimination over those per-monomial equations gave the same list.
+    # The instances on the generators plus the truncation equations give
+    # the same digest.
     with pytest.raises(DeriveBoundExceeded):
         derive_actions(3, [2, 2, 2])
     tables = derive_actions(3, [2, 2, 2], max_unknowns=18)
@@ -624,6 +665,24 @@ def test_derive_reproduces_tables_beyond_the_default_bound():
     assert hashlib.sha256(rendered.encode()).hexdigest() == (
         "5012a3ba64c4b629fdf075f085c312749116081b6326c572478ad70601197a13"
     )
+
+
+@pytest.mark.parametrize("p,ms,max_unknowns,count,digest", [
+    (7, (1, 2, 3), 39, 336,
+     "09390ffefd19611423315082ce87e2fd4bd88550ea7ad1526b5e0e88e4474699"),
+    (3, (2, 4, 6), 34, 0,
+     "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+])
+def test_derive_pins_shapes_with_many_unknowns(p, ms, max_unknowns, count, digest):
+    # Same digest form as derive_tables.json.  The digests were generated
+    # by the per-monomial system (the conftest oracle) as well, which takes
+    # seconds on these shapes; (3,(2,4,6)) has no table.
+    with pytest.raises(DeriveBoundExceeded):
+        derive_actions(p, list(ms), max_unknowns=max_unknowns - 1)
+    tables = derive_actions(p, list(ms), max_unknowns=max_unknowns)
+    rendered = json.dumps([render_presentation(t) for t in tables])
+    assert len(tables) == count
+    assert hashlib.sha256(rendered.encode()).hexdigest() == digest
 
 
 DECIDE_GOLDEN = json.loads(

@@ -28,7 +28,15 @@ from dnalg.truncated import (
 )
 from dnalg.theorems import derive_actions
 
-from conftest import derived, model_pool, random_element, random_table, s3_model
+from conftest import (
+    derived,
+    model_pool,
+    oracle_derived,
+    random_element,
+    random_table,
+    s3_model,
+    total_powers,
+)
 
 
 def single_gen(p, m, lam):
@@ -310,18 +318,11 @@ def perturbed(rng, a):
     return AlgebraPresentation(p, list(zip(a.names, a.half_degrees)), action)
 
 
-def total_powers(a):
-    """The total power P(y_i) = sum_k P^k y_i of every generator."""
-    return [
-        sum((a.action_entry(i, k) for k in range(1, m + 1)), a.gen(i))
-        for i, m in enumerate(a.half_degrees)
-    ]
-
-
 def test_validate_matches_reference_loop(pool):
     rng = random.Random(909)
-    # (3, (1, 1, 2)) holds 16 tables that do not preserve the truncation.
-    unstable_shape = derived(3, (1, 1, 2))
+    # The per-monomial system on (3, (1, 1, 2)) holds 16 tables that do not
+    # preserve the truncation.
+    unstable_shape = oracle_derived(3, (1, 1, 2))
     models = list(pool) + list(unstable_shape) + [
         model
         for p, l in ((3, 4), (5, 3), (7, 3))
@@ -350,7 +351,7 @@ def test_sweep_runs_only_where_the_generator_proof_fails(pool, monkeypatch):
 
     monkeypatch.setattr(truncated, "_adem_sweep", spy)
     rng = random.Random(910)
-    unstable_shape = derived(3, (1, 1, 2))
+    unstable_shape = oracle_derived(3, (1, 1, 2))
     for a in pool:
         assert validate_action(a).ok
     assert swept == []
@@ -389,12 +390,15 @@ def test_preserves_truncation_counts(pool):
         return sum(not preserves_truncation(a, total_powers(a)) for a in tables)
 
     assert unstable(pool) == 0
+    # The per-monomial system lists unstable tables; derive_actions does not.
     for tables, count in (
-        (derived(3, (1, 1, 2)), (16, 30)),
-        (derive_actions(3, [1, 1, 1, 2], max_unknowns=19), (64, 98)),
-        (derived(7, (2, 2)), (0, 40)),
+        (oracle_derived(3, (1, 1, 2)), (16, 30)),
+        (oracle_derived(3, (1, 1, 1, 2)), (64, 98)),
+        (oracle_derived(7, (2, 2)), (0, 40)),
     ):
         assert (unstable(tables), len(tables)) == count
+    assert len(derived(3, (1, 1, 2))) == 14
+    assert len(derive_actions(3, [1, 1, 1, 2], max_unknowns=19)) == 34
     a = derived(3, (2, 2))[0]
     y0, y1 = a.gen(0), a.gen(1)
     assert preserves_truncation(a, [y0, y1, y0 * y1])
