@@ -212,10 +212,6 @@ class SteenrodElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({m.degree() for m in self.terms}) <= 1
-
     def degree(self) -> int | None:
         degs = {m.degree() for m in self.terms}
         return degs.pop() if len(degs) == 1 else None
@@ -249,10 +245,6 @@ class SteenrodElement:
     def _check(self, other: "SteenrodElement") -> None:
         if self.p != other.p:
             raise ValueError("prime mismatch")
-
-
-def degree(m: SteenrodMonomial) -> int:
-    return m.degree()
 
 
 def adem_rewrite(m: SteenrodMonomial) -> SteenrodElement:

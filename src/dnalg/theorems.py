@@ -563,12 +563,11 @@ def derive_actions(
     instance on the generator y_i of its degree, and of P(y_i)^{p+1}, where
     P(y_i) = sum_k P^k y_i is the total power (``_truncation_equations``).
     By the proposition in ``validate_action``'s docstring, the solutions are
-    exactly the stable tables that ``validate_action`` accepts; it also
-    accepts some unstable ones, such as 16 on (3,(1,1,2)), which are not
-    listed.  ``solve_polynomial_system`` eliminates what is linear and
-    branches on what stays nonlinear.  ``max_unknowns`` bounds the variable
-    count before any elimination.  With no variable, the one forced table
-    (stable, as P(y_i) = y_i + y_i^p) is checked by ``validate_action``."""
+    exactly the tables that ``validate_action`` accepts.  The solver
+    eliminates what is linear and branches on what stays nonlinear.
+    ``max_unknowns`` bounds the variable count before any elimination.
+    With no variable, the one forced table (stable, as P(y_i) = y_i + y_i^p)
+    is checked by ``validate_action``."""
     check_odd_prime(p)
     if max_unknowns < 0:
         raise ValueError(f"max_unknowns must be >= 0, got {max_unknowns}")

@@ -6,10 +6,11 @@ action table stores P^k on each generator for 1 <= k <= m_i; everything
 else is derived: P^0 is the identity, P^k vanishes for k > m_i, the
 Bockstein acts as zero (all degrees are even), and products follow the
 Cartan formula.  ``validate_action`` checks that the table really defines
-an action: the unstable conditions on generators plus every Adem relation
-instance that lands inside the degree range.  When each generator's total
-power preserves the truncation, the instances on the generators imply all
-others (see its docstring); the per-monomial sweep below runs otherwise.
+an action, on the generators alone: the unstable conditions, the
+truncation (each total power P(y_i) has P(y_i)^{p+1} = 0, since P is a ring
+map and y_i^{p+1} = 0), and every Adem relation instance that lands inside
+the degree range.  Together these imply every instance on every monomial
+(see its docstring).
 
 Presentations are immutable after construction (caches are internal and
 value-transparent); all operations are pure.
@@ -540,43 +541,48 @@ def _adem_sweep(a: AlgebraPresentation, instances, by_degree: dict) -> list[Adem
 
 
 def validate_action(a: AlgebraPresentation) -> ActionValidation:
-    """Check unstability on generators and all in-range Adem instances.
+    """Check that the table defines an action, on the generators alone:
+    unstability, the truncation, and every in-range Adem instance.
 
-    Instances of relations with an interposed Bockstein hold automatically
-    (the Bockstein acts as zero in even degrees), so only the P^a P^b family
-    is enumerated, for a < p*b and 2b <= |x| on each basis monomial x.
-
-    If the unstable checks pass, every total power P(y_i) = sum_k P^k y_i
-    has P(y_i)^{p+1} = 0, and every instance holds on each y_i, then every
-    instance holds and the sweep, which names each failure, is skipped:
+    The total power P = sum_k P^k of an action is a ring map of T, so
+    P(y_i)^{p+1} = P(y_i^{p+1}) = 0; a table with P(y_i)^{p+1} != 0 is no
+    action.  Instances of relations with an interposed Bockstein hold
+    automatically (the Bockstein acts as zero in even degrees), so only the
+    P^a P^b family is enumerated, for a < p*b and 2b <= |x|.  If the
+    unstable checks and the truncation hold, the instances on each y_i
+    imply all others:
     - If 2b > |x|, P^b x = 0, and each word P^{a+b-t} P^t of the normal form
       has a >= p*t, so a+b-t > |P^t x|/2: the instance vanishes.
     - Let V be the span of the words of length <= 2 and J the kernel of
       V -> A, spanned by the R_ab.  The Cartan coproduct (Milnor, 1958)
       sends R_ab to 0 in A (x) A, so psi(R_ab) lies in J (x) V + V (x) J.
-    - Stability makes the total power a ring map of T, so the classes that
-      J kills form a subalgebra.  It holds the generators, so it is T.
+    - P is a ring map of T, so the classes that J kills form a subalgebra.
+      It holds the generators, so it is T.
+    ``instances_checked`` counts the instances times the basis monomials
+    of their source degree, which the proof covers.
     """
     p = a.p
     unstable: list[str] = []
-    generators: dict[int, list[Exponents]] = {}
     totals = []
     for i, m in enumerate(a.half_degrees):
         name, unit = a.names[i], tuple(int(j == i) for j in range(a.l))
-        generators.setdefault(2 * m, []).append(unit)
         if a.action_entry(i, m).terms != {tuple(p * e for e in unit): 1}:
             unstable.append(f"P^{m} {name} != {name}^{p}")
         for j, k in a.stored_entries():
             if j == i and k > m and not a.action_entry(i, k).is_zero():
                 unstable.append(f"P^{k} {name} must vanish (k > {m})")
         totals.append(sum((a.action_entry(i, k) for k in range(1, m + 1)), a.gen(i)))
+    unstable += [
+        f"P({name})^{p + 1} != 0"
+        for name, x in zip(a.names, totals)
+        if not preserves_truncation(a, [x])
+    ]
 
     buckets = a._degree_buckets()
+    generators = {d: [e for e in buckets[d] if sum(e) == 1] for d in set(a.degrees)}
     instances = adem_instances(p, tuple(a.nonzero_degrees()), a.top_degree)
     checked = sum(len(buckets[d]) for _, _, d in instances)
-    if not unstable and preserves_truncation(a, totals) and not _adem_sweep(a, instances, generators):
-        return ActionValidation(True, (), (), checked)
-    failures = _adem_sweep(a, instances, buckets)
+    failures = _adem_sweep(a, instances, generators)
     return ActionValidation(not unstable and not failures, tuple(unstable), tuple(failures), checked)
 
 

@@ -15,7 +15,7 @@ from dnalg.cli import (
 )
 from dnalg.truncated import validate_action
 
-from conftest import s3_model
+from conftest import oracle_derived, s3_model, stable
 
 S3_TEXT = "p = 3; generator y halfdeg 2; action P^1 y = y^2; action P^2 y = y^3"
 
@@ -339,6 +339,18 @@ def test_validate_invalid_table_exit_one(capsys, tmp_path):
     code, out = run(capsys, "validate", str(path))
     assert code == 1
     assert json.loads(out)["overall"] is False
+    # Every Adem instance holds on this table, but P(y4_2)^4 != 0.
+    unstable = next(a for a in oracle_derived(3, (1, 1, 2)) if not stable([a]))
+    path = tmp_path / "unstable.alg"
+    path.write_text(render_presentation(unstable) + "\n")
+    code, out = run(capsys, "validate", str(path))
+    assert code == 1
+    verdicts = {v["check"]: v for v in json.loads(out)["verdicts"]}
+    assert verdicts["unstable"]["failures"] == ["P(y4_2)^4 != 0"]
+    assert verdicts["adem"]["ok"]
+    code = main(["max-dn", str(path)])
+    assert code == 2
+    assert "presentation does not define an action" in capsys.readouterr().err
 
 
 def test_report_key_order(capsys, s3_file):

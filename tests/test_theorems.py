@@ -28,6 +28,7 @@ from dnalg.truncated import (
     AlgebraError,
     AlgebraPresentation,
     induced_q_map,
+    preserves_truncation,
     render_polynomial,
     validate_action,
 )
@@ -236,6 +237,54 @@ def test_identity_transport_matches_solve(pool):
             assert list(got.action_entry(i, k).terms.items()) == list(
                 want.action_entry(i, k).terms.items()
             )
+
+
+def test_verdicts_are_invariant_under_truncation_preserving_substitutions(pool):
+    """Each substitution permutes the generators of equal degree, rescales
+    them, and adds to each a random decomposable of its degree when the
+    image still satisfies x^{p+1} = 0.  Transporting a pool table along it
+    changes no verdict, and the new table is again one that derive lists."""
+    rng = random.Random(3)
+    draws = permuted = tails = additions = 0
+    for a in pool:
+        p, ms = a.p, a.half_degrees
+        _, blocks = free_entries(p, ms)
+        listed = {entry_vector(t, blocks) for t in derived(p, ms)}
+        verdicts = (
+            validate_action(a).ok,
+            max_dn(a),
+            check_thm_a(a).by_key(),
+            check_prop_a(normalize_generators(a), p - 1).ok,
+        )
+        for _ in range(2):
+            target = list(range(a.l))
+            for m in set(ms):
+                same = [i for i in range(a.l) if ms[i] == m]
+                for i, j in zip(same, rng.sample(same, len(same))):
+                    target[i] = j
+            images = []
+            for i, m in enumerate(ms):
+                x = a.gen(target[i]).scale(rng.randrange(1, p))
+                tail = a.element({
+                    e: rng.randrange(p) for e in a.basis_of_degree(2 * m) if sum(e) > 1
+                })
+                tails += not tail.is_zero()
+                if not tail.is_zero() and preserves_truncation(a, [x + tail]):
+                    x, additions = x + tail, additions + 1
+                images.append(x)
+            b = transport(a, images)
+            assert (
+                validate_action(b).ok,
+                max_dn(b),
+                check_thm_a(b).by_key(),
+                check_prop_a(normalize_generators(b), p - 1).ok,
+            ) == verdicts, (a, images)
+            assert entry_vector(b, blocks) in listed, (a, images)
+            draws += 1
+            permuted += target != list(range(a.l))
+    # x^p * tail != 0 for x = c * y_j and every nonzero decomposable tail of
+    # degree |y_j|, so no addition survives the truncation check.
+    assert (draws, permuted, tails, additions) == (176, 18, 66, 0)
 
 
 # ---------------------------------------------------------------------------

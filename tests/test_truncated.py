@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -30,6 +29,8 @@ from dnalg.theorems import derive_actions
 
 from conftest import (
     derived,
+    entry_vector,
+    free_entries,
     model_pool,
     oracle_derived,
     random_element,
@@ -318,7 +319,19 @@ def perturbed(rng, a):
     return AlgebraPresentation(p, list(zip(a.names, a.half_degrees)), action)
 
 
+def truncation_messages(a):
+    """One message per generator whose total power breaks the truncation."""
+    return tuple(
+        f"P({name})^{a.p + 1} != 0"
+        for name, x in zip(a.names, total_powers(a))
+        if not preserves_truncation(a, [x])
+    )
+
+
 def test_validate_matches_reference_loop(pool):
+    """``validate_action`` is the per-monomial loop read on the generators:
+    its verdict is the loop's plus the truncation, and its failures are the
+    loop's failures on generator monomials."""
     rng = random.Random(909)
     # The per-monomial system on (3, (1, 1, 2)) holds 16 tables that do not
     # preserve the truncation.
@@ -332,40 +345,46 @@ def test_validate_matches_reference_loop(pool):
     # Some random (3, (2, 2)) tables break the truncation and pass every
     # instance on the generators, yet fail on a decomposable.
     models += [random_table(rng, 3, (2, 2)) for _ in range(200)]
-    failures = 0
+    assert len(models) == 439
+    failures = rejected = 0
     for a in models:
-        got = dataclasses.asdict(validate_action(a))
-        assert got == dataclasses.asdict(reference_validate(a)), a
-        failures += len(got["adem_failures"])
-    assert failures > 100  # the perturbations exercise the failure order
+        ref, truncation = reference_validate(a), truncation_messages(a)
+        got = validate_action(a)
+        assert got == ActionValidation(
+            ok=ref.ok and not truncation,
+            unstable_failures=ref.unstable_failures + truncation,
+            adem_failures=tuple(f for f in ref.adem_failures if sum(f.monomial) == 1),
+            instances_checked=ref.instances_checked,
+        ), a
+        failures += len(got.adem_failures)
+        rejected += bool(truncation)
+    assert (failures, rejected) == (1664, 214)
 
 
-def test_sweep_runs_only_where_the_generator_proof_fails(pool, monkeypatch):
-    swept = []
+def test_validate_sweeps_once_on_the_generators(pool, monkeypatch):
+    calls = []
     sweep = truncated._adem_sweep
 
     def spy(a, instances, by_degree):
-        if by_degree is a._degree_buckets():  # the per-monomial sweep
-            swept.append(a)
+        calls.append((a, by_degree))
         return sweep(a, instances, by_degree)
 
     monkeypatch.setattr(truncated, "_adem_sweep", spy)
     rng = random.Random(910)
     unstable_shape = oracle_derived(3, (1, 1, 2))
-    for a in pool:
-        assert validate_action(a).ok
-    assert swept == []
-    for a in unstable_shape:
-        assert validate_action(a).ok  # accepted as before, by the sweep
-    assert len(swept) == 16
-    assert all(not preserves_truncation(a, total_powers(a)) for a in swept)
+    models = list(pool) + list(unstable_shape)
+    models += [perturbed(rng, a) for a in models]
     failing = 0
-    for a in [perturbed(rng, a) for a in pool + unstable_shape]:
-        swept.clear()
-        report = validate_action(a)
-        failing += not report.ok
-        assert bool(swept) == (not report.ok or not preserves_truncation(a, total_powers(a)))
-    assert failing > 50
+    for a in models:
+        calls.clear()
+        failing += not validate_action(a).ok
+        assert len(calls) == 1
+        swept, by_degree = calls[0]
+        assert swept is a
+        assert by_degree == {
+            d: [e for e in a.basis_of_degree(d) if sum(e) == 1] for d in set(a.degrees)
+        }
+    assert failing == 132
 
 
 def test_instances_above_half_the_degree_vanish_on_generators(pool):
@@ -397,8 +416,23 @@ def test_preserves_truncation_counts(pool):
         (oracle_derived(7, (2, 2)), (0, 40)),
     ):
         assert (unstable(tables), len(tables)) == count
-    assert len(derived(3, (1, 1, 2))) == 14
-    assert len(derive_actions(3, [1, 1, 1, 2], max_unknowns=19)) == 34
+    # validate_action accepts exactly the tables derive_actions lists, and
+    # names the truncation on each table it rejects.
+    for shape, want in (((3, (1, 1, 2)), 14), ((3, (1, 1, 1, 2)), 34)):
+        _, blocks = free_entries(*shape)
+        listed = [
+            entry_vector(a, blocks)
+            for a in derive_actions(shape[0], list(shape[1]), max_unknowns=19)
+        ]
+        accepted = []
+        for a in oracle_derived(*shape):
+            report = validate_action(a)
+            if report.ok:
+                accepted.append(entry_vector(a, blocks))
+            else:
+                assert truncation_messages(a), a
+                assert set(truncation_messages(a)) <= set(report.unstable_failures)
+        assert accepted == listed and len(listed) == want
     a = derived(3, (2, 2))[0]
     y0, y1 = a.gen(0), a.gen(1)
     assert preserves_truncation(a, [y0, y1, y0 * y1])
