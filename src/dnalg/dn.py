@@ -15,6 +15,11 @@ size, and operations drawn from the admissible basis (optionally all monic
 F_p-combinations where that basis is small).  Every bound is recorded in
 the report; hitting one is never silent.
 
+D^{n+1} A^d is a coordinate subspace: the span of the monomials with n+1
+or more factors.  So ``check_instance`` solves on the other coordinates
+only, with no column for D^{n+1}, and the dimensions in its certificate
+are counts of monomials plus the rank of the projected corrections.
+
 Cases are independent pure computations merged in a fixed order (degree,
 then slot enumeration order), so the sweep is deterministic and could be
 fanned out to workers without changing the report.
@@ -77,6 +82,8 @@ class DnInstance:
     n: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise AlgebraError(f"instance order must be >= 1, got {self.n}")
         degs = set()
         for theta, alpha in self.pairs:
             td, ad = theta.degree(), alpha.degree()
@@ -130,53 +137,47 @@ class DnVerdict:
 
 
 def check_instance(inst: DnInstance) -> DnVerdict:
-    """Decide one instance by solving the assembled linear system."""
+    """Decide one instance on the coordinates of n or fewer factors.
+
+    D^{n+1} A^d is the span of the other monomials, so a value lies in
+    corrections + D^{n+1} exactly when it agrees with a correction there:
+    D^{n+1} needs no columns, its dimension is a count of monomials, and
+    corrections + D^{n+1} adds the rank of the projected corrections."""
     a = inst.presentation
-    p = a.p
-    d = inst.target_degree
+    p, d = a.p, inst.target_degree
     total = inst.evaluate()
     if not total.in_filtration(2):
         return DnVerdict("vacuous", inst)
-    # Corrections and the deep filtration assemble into one linear system.
     basis_d = a.basis_of_degree(d)
-    ncols_amb = len(basis_d)
-    columns: list[tuple[int, ...]] = []
-    col_groups: list[tuple[int, list[Exponents]]] = []  # (pair index, D-basis monomials)
-    for idx, (theta, alpha) in enumerate(inst.pairs):
-        e = alpha.degree()
-        dec_monos = [m for m in a.basis_of_degree(e) if sum(m) >= 2]
-        col_groups.append((idx, dec_monos))
+    kept = [r for r, m in enumerate(basis_d) if sum(m) <= inst.n]
+    columns: list[list[int]] = []  # each correction theta(m), on the kept coordinates
+    groups: list[list[Exponents]] = []  # per pair, its decomposable monomials
+    for theta, alpha in inst.pairs:
+        dec_monos = [m for m in a.basis_of_degree(alpha.degree()) if sum(m) >= 2]
+        groups.append(dec_monos)
         for mono in dec_monos:
-            img = a.act(theta, a.element({mono: 1}))
-            columns.append(a.coords(img, d))
-    deep = filtration(a, inst.n + 1, d)
-    columns.extend(deep.basis)
-    if columns:
-        mat = FpMatrix.from_rows(p, [list(c) for c in columns], ncols_amb).transpose()
-    else:
-        mat = FpMatrix.zeros(p, ncols_amb, 0)
+            images = [(c, a.word_coords(w, mono, d)) for w, c in theta.terms.items()]
+            columns.append([sum(c * v[r] for c, v in images) % p for r in kept])
     target = a.coords(total, d)
-    solution = solve(mat, target)
+    rows = [[c[i] for c in columns] for i in range(len(kept))]
+    solution = solve(FpMatrix.from_rows(p, rows, len(columns)), [target[r] for r in kept])
     if solution is None:
-        image = Subspace.from_vectors(p, ncols_amb, [list(c) for c in columns])
+        deep = len(basis_d) - len(kept)
         return DnVerdict(
             "violated",
             inst,
             certificate={
                 "target_degree": d,
-                "dim_correction_span": image.dim,
-                "dim_deep_filtration": deep.dim,
+                "dim_correction_span": deep + Subspace.from_vectors(p, len(kept), columns).dim,
+                "dim_deep_filtration": deep,
                 "value": render_polynomial(total),
             },
         )
     witness = []
     pos = 0
-    for _, dec_monos in col_groups:
-        nu = a.zero()
-        for mono in dec_monos:
-            nu = nu + a.element({mono: solution[pos]})
-            pos += 1
-        witness.append(nu)
+    for dec_monos in groups:
+        witness.append(a.element(dict(zip(dec_monos, solution[pos:pos + len(dec_monos)]))))
+        pos += len(dec_monos)
     return DnVerdict("satisfied-with-witness", inst, witness=tuple(witness))
 
 

@@ -90,10 +90,6 @@ class FpMatrix:
         return cls(p, reduced, width)
 
     @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls.from_rows(p, [[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
         return cls.from_rows(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
@@ -208,19 +204,11 @@ class Subspace:
     def contains(self, v) -> bool:
         return not any(self.reduce(v))
 
-    def includes(self, other: "Subspace") -> bool:
-        self._check(other)
-        return all(self.contains(v) for v in other.basis)
-
     def add(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace.from_vectors(
             self.modulus, self.ambient_dim, self.basis + other.basis
         )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        _, inter = sum_and_intersection(self, other)
-        return inter
 
     def __add__(self, other: "Subspace") -> "Subspace":
         return self.add(other)
@@ -273,13 +261,6 @@ class ChainRep:
                     f"map {i} has shape {f.rows}x{f.cols}, expected "
                     f"{self.dims[i + 1]}x{self.dims[i]}"
                 )
-
-    def composite(self, start: int, end: int) -> FpMatrix:
-        """The composite map from node ``start`` to node ``end``."""
-        m = FpMatrix.identity(self.modulus, self.dims[start])
-        for i in range(start, end):
-            m = self.maps[i].matmul(m)
-        return m
 
 
 @dataclass(frozen=True)

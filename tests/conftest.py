@@ -13,16 +13,18 @@ import pytest
 
 from dnalg import theorems
 from dnalg.cli import render_presentation
-from dnalg.dn import max_dn
-from dnalg.fp import solve_polynomial_system
+from dnalg.dn import DnVerdict, max_dn
+from dnalg.fp import FpMatrix, Subspace, solve, solve_polynomial_system
 from dnalg.theorems import check_thm_a, derive_actions, normalize_generators
 from dnalg.truncated import (
     AlgebraPresentation,
     adem_instances,
+    filtration,
     preserves_truncation,
     render_polynomial,
     validate_action,
 )
+from fp_oracles import zeros
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,6 +82,54 @@ def oracle_derived(p: int, half_degrees: tuple[int, ...]):
     return tuple(
         table_of(probe, blocks, v) for v in solve_polynomial_system(p, unknowns, equations)
     )
+
+
+def oracle_check_instance(inst) -> DnVerdict:
+    """``dn.check_instance`` as one full system: every coordinate of A^d,
+    the corrections theta(m) as columns, and a unit column for each
+    monomial of D^{n+1} A^d."""
+    a = inst.presentation
+    p = a.p
+    d = inst.target_degree
+    total = inst.evaluate()
+    if not total.in_filtration(2):
+        return DnVerdict("vacuous", inst)
+    ncols_amb = len(a.basis_of_degree(d))
+    columns = []
+    col_groups = []  # per pair, its decomposable monomials
+    for theta, alpha in inst.pairs:
+        dec_monos = [m for m in a.basis_of_degree(alpha.degree()) if sum(m) >= 2]
+        col_groups.append(dec_monos)
+        for mono in dec_monos:
+            columns.append(a.coords(a.act(theta, a.element({mono: 1})), d))
+    deep = filtration(a, inst.n + 1, d)
+    columns.extend(deep.basis)
+    if columns:
+        mat = FpMatrix.from_rows(p, [list(c) for c in columns], ncols_amb).transpose()
+    else:
+        mat = zeros(p, ncols_amb, 0)
+    solution = solve(mat, a.coords(total, d))
+    if solution is None:
+        image = Subspace.from_vectors(p, ncols_amb, [list(c) for c in columns])
+        return DnVerdict(
+            "violated",
+            inst,
+            certificate={
+                "target_degree": d,
+                "dim_correction_span": image.dim,
+                "dim_deep_filtration": deep.dim,
+                "value": render_polynomial(total),
+            },
+        )
+    witness = []
+    pos = 0
+    for dec_monos in col_groups:
+        nu = a.zero()
+        for mono in dec_monos:
+            nu = nu + a.element({mono: solution[pos]})
+            pos += 1
+        witness.append(nu)
+    return DnVerdict("satisfied-with-witness", inst, witness=tuple(witness))
 
 
 def total_powers(a):

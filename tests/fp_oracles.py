@@ -3,12 +3,33 @@ built on the public names of ``dnalg.fp``."""
 
 import itertools
 
-from dnalg.fp import FpMatrix, Subspace
+from dnalg.fp import ChainRep, FpMatrix, Subspace, sum_and_intersection
 
 
 def all_vectors(p: int, n: int):
     """Iterate every vector of F_p^n (exponential)."""
     return itertools.product(range(p), repeat=n)
+
+
+def zeros(p: int, rows: int, cols: int) -> FpMatrix:
+    return FpMatrix.from_rows(p, [[0] * cols for _ in range(rows)], cols)
+
+
+def includes(u: Subspace, v: Subspace) -> bool:
+    """Whether v lies in u."""
+    return all(u.contains(w) for w in v.basis)
+
+
+def intersect(u: Subspace, v: Subspace) -> Subspace:
+    return sum_and_intersection(u, v)[1]
+
+
+def composite(chain: ChainRep, start: int, end: int) -> FpMatrix:
+    """The composite map of a chain from node ``start`` to node ``end``."""
+    m = FpMatrix.identity(chain.modulus, chain.dims[start])
+    for i in range(start, end):
+        m = chain.maps[i].matmul(m)
+    return m
 
 
 def nullspace(m: FpMatrix) -> Subspace:

@@ -1,8 +1,10 @@
+import collections
 import itertools
 import random
 
 import pytest
 
+from dnalg import dn, truncated
 from dnalg.dn import (
     DnInstance,
     DnSearchConfig,
@@ -15,7 +17,13 @@ from dnalg.dn import (
 from dnalg.steenrod import SteenrodElement, basis_of_degree
 from dnalg.truncated import AlgebraError, AlgebraPresentation, filtration
 
-from conftest import derived, random_element, s3_model
+from conftest import (
+    derived,
+    oracle_check_instance,
+    random_element,
+    random_table,
+    s3_model,
+)
 
 
 def definition_level_ok(a, n, max_support=2):
@@ -129,12 +137,74 @@ def test_witnesses_reverify(pool):
         for n in (1, 2):
             inst = p1_instance(a, n)
             verdict = check_instance(inst)
-            if verdict.status != "satisfied-with-witness":
+            if verdict.status == "satisfied-with-witness":
+                assert_witness_reverifies(inst, verdict.witness)
+
+
+def assert_witness_reverifies(inst, witness):
+    """Each correction is decomposable of its pair's degree, and
+    sum theta(alpha - nu) lies in D^{n+1}."""
+    a = inst.presentation
+    total = a.zero()
+    for (theta, alpha), nu in zip(inst.pairs, witness, strict=True):
+        assert nu.in_filtration(2)
+        assert nu.is_zero() or nu.degree() == alpha.degree()
+        total = total + a.act(theta, alpha - nu)
+    assert total.in_filtration(inst.n + 1)
+
+
+def random_pairs(rng, a, ks):
+    """(P^k, alpha) for each k in ks, all landing in one random target
+    degree whose sources are nonzero positive degrees; None if none is."""
+    step = 2 * (a.p - 1)
+    targets = [
+        d for d in a.nonzero_degrees()
+        if all(d - k * step > 0 and a.dim(d - k * step) for k in ks)
+    ]
+    if not targets:
+        return None
+    d = rng.choice(targets)
+    pairs = []
+    for k in ks:
+        e = d - k * step
+        alpha = random_element(rng, a, e) + a.element({rng.choice(a.basis_of_degree(e)): 1})
+        if alpha.is_zero():
+            alpha = a.element({a.basis_of_degree(e)[0]: 1})
+        pairs.append((SteenrodElement.power(a.p, k), alpha))
+    return tuple(pairs)
+
+
+def test_check_instance_matches_full_system_oracle(pool):
+    """The solve on the coordinates of n or fewer factors against the
+    full system with a unit column per monomial of D^{n+1}.  Random tables
+    may have linear action terms, so their corrections reach below
+    D^{n+1} and a violation certificate counts a nonzero rank."""
+    rng = random.Random(37)
+    models = list(pool) + [derived(p, (1,) * l)[0] for p, l in ((3, 4), (5, 3), (7, 3))]
+    models += [
+        random_table(rng, 3, ms) for ms in ((2, 4), (1, 2, 4), (2, 4, 6)) for _ in range(12)
+    ]
+    seen = collections.Counter()
+    for a in models:
+        for ks in ((1,), (2,), (1, 2)):
+            pairs = random_pairs(rng, a, ks)
+            if pairs is None:
                 continue
-            total = a.zero()
-            for (theta, alpha), nu in zip(inst.pairs, verdict.witness):
-                total = total + a.act(theta, alpha - nu)
-            assert total.in_filtration(n + 1)
+            for n in range(1, a.p + 1):
+                inst = DnInstance(a, pairs, n)
+                got, want = check_instance(inst), oracle_check_instance(inst)
+                assert (got.status, got.certificate) == (want.status, want.certificate), inst
+                if got.witness is not None:
+                    assert_witness_reverifies(inst, got.witness)
+                cert = got.certificate or {}
+                ranked = cert.get("dim_correction_span", 0) > cert.get("dim_deep_filtration", 0)
+                seen[got.status, ranked] += 1
+    assert seen == {
+        ("satisfied-with-witness", False): 1346,
+        ("vacuous", False): 15,
+        ("violated", False): 71,
+        ("violated", True): 7,
+    }
 
 
 def exhaustive_decider(inst):
@@ -329,6 +399,29 @@ def test_max_order_reaches_p_minus_one():
     # the forced table at m = p has its only obstruction at the top order
     a = s3_model(3, 3)
     assert max_dn(a) == 2
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_instance_rejects_order_below_one(n):
+    a = s3_model(3, 2)
+    with pytest.raises(AlgebraError, match=f"order must be >= 1, got {n}"):
+        p1_instance(a, n)
+
+
+def test_check_instance_never_builds_the_filtration(pool, monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return filtration(*args)
+
+    monkeypatch.setattr(truncated, "filtration", spy)
+    monkeypatch.setattr(dn, "filtration", spy)
+    statuses = set()
+    for a in list(pool)[::8]:
+        for n in range(1, a.p + 1):
+            statuses.add(check_instance(p1_instance(a, n)).status)
+    assert calls == [] and statuses == {"satisfied-with-witness", "violated"}
 
 
 def test_instance_requires_consistent_degrees():

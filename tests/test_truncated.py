@@ -16,6 +16,7 @@ from dnalg.truncated import (
     AdemFailure,
     AlgebraError,
     AlgebraPresentation,
+    adem_instance_count,
     adem_instance_holds,
     adem_instances,
     filtration,
@@ -469,6 +470,40 @@ def test_adem_instances_match_filter_reference():
     assert shapes == 161
 
 
+def test_adem_instance_count_matches_listed_instances():
+    for p in (3, 5, 7, 11):
+        for top in (0, 8, 2 * p * (p + 1), 6 * p * 5, 2 * p * 17):
+            dims = {d: d // 2 + 1 for d in range(0, top + 1, 2)}
+            for d in dims:
+                assert adem_instance_count(p, {d: 1}, top) == len(adem_instances(p, (d,), top))
+            assert adem_instance_count(p, dims, top) == sum(
+                dims[d] for *_, d in adem_instances(p, tuple(dims), top)
+            )
+
+
+def test_instances_checked_pinned_on_truncation_shapes():
+    # Every instance times every basis monomial of its source degree,
+    # although the sweep evaluates only the generator monomials.
+    for shape, want in (((3, (1, 1, 2)), 152), ((3, (1, 1, 1, 2)), 1041)):
+        a = oracle_derived(*shape)[0]
+        assert validate_action(a).instances_checked == want
+
+
+def test_validate_lists_instances_on_generator_degrees_only(pool, monkeypatch):
+    calls = []
+    listed = truncated.adem_instances
+
+    def spy(p, degrees, top):
+        calls.append(degrees)
+        return listed(p, degrees, top)
+
+    monkeypatch.setattr(truncated, "adem_instances", spy)
+    for a in pool:
+        calls.clear()
+        validate_action(a)
+        assert calls == [tuple(sorted(set(a.degrees)))]
+
+
 def test_degree_checked_at_construction():
     with pytest.raises(AlgebraError):
         AlgebraPresentation(3, [("y", 2)], {("y", 1): {(1,): 1}})
@@ -576,9 +611,9 @@ def test_induced_q_map_section_independent():
 def test_element_degree_flags():
     a = two_gen_shape()
     x = a.gen(0)
-    assert x.degree() == 4 and x.is_homogeneous
+    assert x.degree() == 4
     mixed = a.gen(0) + a.gen(1)
-    assert mixed.degree() is None and not mixed.is_homogeneous
+    assert mixed.degree() is None
     assert a.zero().degree() is None
     assert a.gen(0).in_filtration(1)
     assert not a.gen(0).in_filtration(2)
