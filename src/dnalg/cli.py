@@ -502,11 +502,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("normalize", _cmd_normalize, help="normalize generators")
     sp.add_argument("file")
 
+    defaults = DnSearchConfig()
+
     def add_dn(name, fn, **kwargs):
         sp = add(name, fn, **kwargs)
         sp.add_argument("file")
-        sp.add_argument("--max-support", type=int, default=DnSearchConfig.max_support)
-        sp.add_argument("--theta-dim-bound", type=int, default=DnSearchConfig.theta_dim_bound)
+        sp.add_argument("--max-support", type=int, default=defaults.max_support)
+        sp.add_argument("--theta-dim-bound", type=int, default=defaults.theta_dim_bound)
         return sp
 
     sp = add_dn("check-dn", _cmd_check_dn, help="decide the order-n correction condition")

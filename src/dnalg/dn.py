@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .fp import FpMatrix, Subspace, solve, sum_and_intersection
 from .steenrod import (
@@ -59,39 +58,50 @@ from .truncated import (
 Exponents = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class DnSearchConfig:
-    max_support: int = 2
-    theta_dim_bound: int = 3
-
-    def __post_init__(self):
+    def __init__(self, max_support: int = 2, theta_dim_bound: int = 3):
         # A support bound below 1 leaves no case to check, so every order
         # would pass.
-        if self.max_support < 1:
+        if max_support < 1:
             raise ValueError("max_support must be >= 1")
-        if self.theta_dim_bound < 0:
+        if theta_dim_bound < 0:
             raise ValueError("theta_dim_bound must be >= 0")
+        self.max_support = max_support
+        self.theta_dim_bound = theta_dim_bound
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_support, self.theta_dim_bound) == (
+            other.max_support, other.theta_dim_bound
+        )
+
+    def __hash__(self):
+        return hash((self.max_support, self.theta_dim_bound))
 
 
-@dataclass(frozen=True)
 class DnInstance:
     """A homogeneous list of (operation, class) pairs with one target degree."""
 
-    presentation: AlgebraPresentation
-    pairs: tuple[tuple[SteenrodElement, AlgebraElement], ...]
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise AlgebraError(f"instance order must be >= 1, got {self.n}")
+    def __init__(
+        self,
+        presentation: AlgebraPresentation,
+        pairs: tuple[tuple[SteenrodElement, AlgebraElement], ...],
+        n: int,
+    ):
+        if n < 1:
+            raise AlgebraError(f"instance order must be >= 1, got {n}")
         degs = set()
-        for theta, alpha in self.pairs:
+        for theta, alpha in pairs:
             td, ad = theta.degree(), alpha.degree()
             if td is None or ad is None:
                 raise AlgebraError("instance pairs must be homogeneous and nonzero")
             degs.add(td + ad)
         if len(degs) != 1:
             raise AlgebraError("instance pairs must share one target degree")
+        self.presentation = presentation
+        self.pairs = pairs
+        self.n = n
 
     @property
     def target_degree(self) -> int:
@@ -120,12 +130,18 @@ class DnInstance:
         }
 
 
-@dataclass(frozen=True)
 class DnVerdict:
-    status: str  # "satisfied-with-witness" | "violated" | "vacuous"
-    instance: DnInstance
-    witness: tuple[AlgebraElement, ...] | None = None
-    certificate: dict | None = None
+    def __init__(
+        self,
+        status: str,  # "satisfied-with-witness" | "violated" | "vacuous"
+        instance: DnInstance,
+        witness: tuple[AlgebraElement, ...] | None = None,
+        certificate: dict | None = None,
+    ):
+        self.status = status
+        self.instance = instance
+        self.witness = witness
+        self.certificate = certificate
 
     def to_dict(self) -> dict:
         out = {"status": self.status, "instance": self.instance.to_dict()}
@@ -181,24 +197,56 @@ def check_instance(inst: DnInstance) -> DnVerdict:
     return DnVerdict("satisfied-with-witness", inst, witness=tuple(witness))
 
 
-@dataclass(frozen=True)
 class _Slot:
-    source_degree: int
-    theta: SteenrodElement
-    columns: tuple[tuple[int, ...], ...]  # theta on each monomial of A^e, in A^d
-    # The next two take the coordinates of A^d sorted by word length.
-    image: Subspace          # theta(A^e)
-    corrections: Subspace    # theta(D A^e)
+    def __init__(
+        self,
+        source_degree: int,
+        theta: SteenrodElement,
+        columns: tuple[tuple[int, ...], ...],  # theta on each monomial of A^e, in A^d
+        # The next two take the coordinates of A^d sorted by word length.
+        image: Subspace,          # theta(A^e)
+        corrections: Subspace,    # theta(D A^e)
+    ):
+        self.source_degree = source_degree
+        self.theta = theta
+        self.columns = columns
+        self.image = image
+        self.corrections = corrections
 
 
-@dataclass(frozen=True)
 class DegreeResult:
-    degree: int
-    slots: int
-    cases: int
-    ok: bool
-    trivial: bool = False
-    cases_by_support_size: tuple[tuple[int, int], ...] = ()
+    def __init__(
+        self,
+        degree: int,
+        slots: int,
+        cases: int,
+        ok: bool,
+        trivial: bool = False,
+        cases_by_support_size: tuple[tuple[int, int], ...] = (),
+    ):
+        self.degree = degree
+        self.slots = slots
+        self.cases = cases
+        self.ok = ok
+        self.trivial = trivial
+        self.cases_by_support_size = cases_by_support_size
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.degree, self.slots, self.cases, self.ok, self.trivial,
+            self.cases_by_support_size,
+        ) == (
+            other.degree, other.slots, other.cases, other.ok, other.trivial,
+            other.cases_by_support_size,
+        )
+
+    def __hash__(self):
+        return hash((
+            self.degree, self.slots, self.cases, self.ok, self.trivial,
+            self.cases_by_support_size,
+        ))
 
     def to_dict(self) -> dict:
         return {
@@ -213,15 +261,41 @@ class DegreeResult:
         }
 
 
-@dataclass(frozen=True)
 class DnReport:
-    presentation: AlgebraPresentation
-    n: int
-    config: DnSearchConfig
-    ok: bool
-    degrees: tuple[DegreeResult, ...]
-    violation: DnVerdict | None
-    incomplete_theta_degrees: tuple[int, ...]
+    def __init__(
+        self,
+        presentation: AlgebraPresentation,
+        n: int,
+        config: DnSearchConfig,
+        ok: bool,
+        degrees: tuple[DegreeResult, ...],
+        violation: DnVerdict | None,
+        incomplete_theta_degrees: tuple[int, ...],
+    ):
+        self.presentation = presentation
+        self.n = n
+        self.config = config
+        self.ok = ok
+        self.degrees = degrees
+        self.violation = violation
+        self.incomplete_theta_degrees = incomplete_theta_degrees
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.presentation, self.n, self.config, self.ok, self.degrees, self.violation,
+            self.incomplete_theta_degrees,
+        ) == (
+            other.presentation, other.n, other.config, other.ok, other.degrees,
+            other.violation, other.incomplete_theta_degrees,
+        )
+
+    def __hash__(self):
+        return hash((
+            self.presentation, self.n, self.config, self.ok, self.degrees, self.violation,
+            self.incomplete_theta_degrees,
+        ))
 
     def search_bounds(self) -> dict:
         return {

@@ -16,7 +16,6 @@ locking.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import eq
 
 
@@ -67,13 +66,23 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-@dataclass(frozen=True)
 class FpMatrix:
     """Dense matrix over F_p, stored as a tuple of row tuples."""
 
-    modulus: int
-    entries: tuple[Vector, ...]
-    cols: int
+    def __init__(self, modulus: int, entries: tuple[Vector, ...], cols: int):
+        self.modulus = modulus
+        self.entries = entries
+        self.cols = cols
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.entries, self.cols) == (
+            other.modulus, other.entries, other.cols
+        )
+
+    def __hash__(self):
+        return hash((self.modulus, self.entries, self.cols))
 
     @classmethod
     def from_rows(cls, p: int, rows, cols: int | None = None) -> "FpMatrix":
@@ -157,7 +166,6 @@ def solve(m: FpMatrix, b) -> Vector | None:
     return tuple(x)
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of F_p^n in canonical (reduced echelon) form.
 
@@ -165,9 +173,20 @@ class Subspace:
     of subspaces.
     """
 
-    modulus: int
-    ambient_dim: int
-    basis: tuple[Vector, ...]
+    def __init__(self, modulus: int, ambient_dim: int, basis: tuple[Vector, ...]):
+        self.modulus = modulus
+        self.ambient_dim = ambient_dim
+        self.basis = basis
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.modulus, self.ambient_dim, self.basis) == (
+            other.modulus, other.ambient_dim, other.basis
+        )
+
+    def __hash__(self):
+        return hash((self.modulus, self.ambient_dim, self.basis))
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
@@ -241,29 +260,26 @@ def sum_and_intersection(u: Subspace, v: Subspace) -> tuple[Subspace, Subspace]:
     )
 
 
-@dataclass(frozen=True)
 class ChainRep:
     """A chain of linear maps F^{d_0} -> F^{d_1} -> ... -> F^{d_k}."""
 
-    modulus: int
-    dims: tuple[int, ...]
-    maps: tuple[FpMatrix, ...]
-
-    def __post_init__(self):
-        check_odd_prime(self.modulus)
-        if len(self.maps) != len(self.dims) - 1:
+    def __init__(self, modulus: int, dims: tuple[int, ...], maps: tuple[FpMatrix, ...]):
+        check_odd_prime(modulus)
+        if len(maps) != len(dims) - 1:
             raise ValueError("need one map per consecutive pair of spaces")
-        for i, f in enumerate(self.maps):
-            if f.modulus != self.modulus:
+        for i, f in enumerate(maps):
+            if f.modulus != modulus:
                 raise ValueError("modulus mismatch in chain")
-            if f.cols != self.dims[i] or f.rows != self.dims[i + 1]:
+            if f.cols != dims[i] or f.rows != dims[i + 1]:
                 raise ValueError(
                     f"map {i} has shape {f.rows}x{f.cols}, expected "
-                    f"{self.dims[i + 1]}x{self.dims[i]}"
+                    f"{dims[i + 1]}x{dims[i]}"
                 )
+        self.modulus = modulus
+        self.dims = dims
+        self.maps = maps
 
 
-@dataclass(frozen=True)
 class IntervalForm:
     """Result of interval decomposition of a chain representation.
 
@@ -273,9 +289,15 @@ class IntervalForm:
     (birth, death) node range of each basis thread.
     """
 
-    bases: tuple[FpMatrix, ...]
-    maps: tuple[FpMatrix, ...]
-    intervals: tuple[tuple[int, int], ...]
+    def __init__(
+        self,
+        bases: tuple[FpMatrix, ...],
+        maps: tuple[FpMatrix, ...],
+        intervals: tuple[tuple[int, int], ...],
+    ):
+        self.bases = bases
+        self.maps = maps
+        self.intervals = intervals
 
 
 def chain_interval_form(chain: ChainRep) -> IntervalForm:

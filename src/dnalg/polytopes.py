@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 
@@ -138,27 +137,34 @@ def delete_leaf(tree, index: int):
 # ordered partitions and facets
 
 
-@dataclass(frozen=True, slots=True)
 class OrderedPartition:
     """An ordered partition of {1..n}: disjoint increasing blocks covering it."""
 
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "blocks")
 
-    def __post_init__(self):
+    def __init__(self, n: int, blocks: tuple[tuple[int, ...], ...]):
         # One pass that raises in the order of the messages.
         seen: set[int] = set()
         size = 0
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise ValueError("blocks must be nonempty")
             if not all(map(le, block, block[1:])):
                 raise ValueError("blocks must be increasing")
             seen.update(block)
             size += len(block)
-        if size != len(seen) or seen != set(range(1, self.n + 1)):
+        if size != len(seen) or seen != set(range(1, n + 1)):
             raise ValueError("blocks must partition {1..n}")
-        _set_blocks(self, tuple(map(tuple, self.blocks)))
+        self.n = n
+        self.blocks = tuple(map(tuple, blocks))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.blocks) == (other.n, other.blocks)
+
+    def __hash__(self):
+        return hash((self.n, self.blocks))
 
     @property
     def type(self) -> tuple[int, ...]:
@@ -172,16 +178,12 @@ class OrderedPartition:
         return ",".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks)
 
 
-_set_n = OrderedPartition.n.__set__
-_set_blocks = OrderedPartition.blocks.__set__
-
-
 def _partition(n: int, blocks: tuple) -> OrderedPartition:
     """An ``OrderedPartition`` built unchecked, for ``blocks`` that are
     nonempty, increasing and cover {1..n} by construction."""
     part = object.__new__(OrderedPartition)
-    _set_n(part, n)
-    _set_blocks(part, blocks)
+    part.n = n
+    part.blocks = blocks
     return part
 
 
@@ -217,16 +219,24 @@ def _surjections(n: int, m: int):
     return out
 
 
-@dataclass(frozen=True, slots=True)
 class GammaFacet:
     """A facet of the permuto-associahedron, labelled by an ordered partition
     into at least two blocks."""
 
-    partition: OrderedPartition
+    __slots__ = ("partition",)
 
-    def __post_init__(self):
-        if self.partition.m < 2:
+    def __init__(self, partition: OrderedPartition):
+        if partition.m < 2:
             raise ValueError("facets need at least two blocks")
+        self.partition = partition
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.partition == other.partition
+
+    def __hash__(self):
+        return hash((self.partition,))
 
     @property
     def n(self) -> int:
@@ -251,14 +261,11 @@ class GammaFacet:
         return count
 
 
-_set_partition = GammaFacet.partition.__set__
-
-
 def _facet(partition: OrderedPartition) -> GammaFacet:
     """A ``GammaFacet`` built unchecked, for a ``partition`` with at least
     two blocks by construction."""
     facet = object.__new__(GammaFacet)
-    _set_partition(facet, partition)
+    facet.partition = partition
     return facet
 
 
@@ -272,23 +279,30 @@ def enumerate_facets(n: int) -> list[GammaFacet]:
 # vertices
 
 
-@dataclass(frozen=True, slots=True)
 class GammaVertex:
     """A vertex: a permutation of {1..n} with a binary planar tree on n leaves."""
 
-    perm: tuple[int, ...]
-    tree: object
+    __slots__ = ("perm", "tree")
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
+    def __init__(self, perm: tuple[int, ...], tree: object):
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
             raise ValueError("perm must be a permutation of {1..n}")
-        leaves = _binary_leaves(self.tree)
+        leaves = _binary_leaves(tree)
         if leaves == 0 or leaves != n:  # 0 also rejects n = 0 with tree ()
             raise ValueError(
                 "tree must be a binary tree of nested pairs with one leaf per letter"
             )
-        _set_perm(self, tuple(self.perm))
+        self.perm = tuple(perm)
+        self.tree = tree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.perm, self.tree) == (other.perm, other.tree)
+
+    def __hash__(self):
+        return hash((self.perm, self.tree))
 
     @property
     def n(self) -> int:
@@ -298,16 +312,12 @@ class GammaVertex:
         return f"{self.perm} {render_tree(self.tree)}"
 
 
-_set_perm = GammaVertex.perm.__set__
-_set_tree = GammaVertex.tree.__set__
-
-
 def _vertex(perm: tuple[int, ...], tree) -> GammaVertex:
     """A ``GammaVertex`` built unchecked, for a ``perm`` that is a
     permutation and a ``tree`` binary on as many leaves by construction."""
     v = object.__new__(GammaVertex)
-    _set_perm(v, perm)
-    _set_tree(v, tree)
+    v.perm = perm
+    v.tree = tree
     return v
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 
 from .fp import check_odd_prime
 
@@ -37,7 +36,6 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
 class SteenrodMonomial:
     """A word b^{e_0} P^{s_1} b^{e_1} ... P^{s_k} b^{e_k}.
 
@@ -45,18 +43,25 @@ class SteenrodMonomial:
     positive power exponents.  The word need not be admissible.
     """
 
-    p: int
-    eps: tuple[int, ...]
-    pows: tuple[int, ...]
-
-    def __post_init__(self):
-        check_odd_prime(self.p)
-        if len(self.eps) != len(self.pows) + 1:
+    def __init__(self, p: int, eps: tuple[int, ...], pows: tuple[int, ...]):
+        check_odd_prime(p)
+        if len(eps) != len(pows) + 1:
             raise ValueError("eps must have one more entry than pows")
-        if any(e not in (0, 1) for e in self.eps):
+        if any(e not in (0, 1) for e in eps):
             raise ValueError("Bockstein exponents must be 0 or 1")
-        if any(s < 1 for s in self.pows):
+        if any(s < 1 for s in pows):
             raise ValueError("power exponents must be positive")
+        self.p = p
+        self.eps = eps
+        self.pows = pows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.eps, self.pows) == (other.p, other.eps, other.pows)
+
+    def __hash__(self):
+        return hash((self.p, self.eps, self.pows))
 
     @classmethod
     def unit(cls, p: int) -> "SteenrodMonomial":

@@ -15,7 +15,6 @@ solver returns the tables in lexicographic order of their coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
 
 from .fp import (
@@ -115,13 +114,18 @@ def transport(
 # generator normalization
 
 
-@dataclass(frozen=True)
 class NormalizedPresentation:
     """A normalized presentation plus the change-of-generators record."""
 
-    presentation: AlgebraPresentation
-    images: tuple[AlgebraElement, ...]  # new generators inside the original algebra
-    p1_targets: dict[int, int]          # i -> j whenever P^1 y_i = y_j exactly
+    def __init__(
+        self,
+        presentation: AlgebraPresentation,
+        images: tuple[AlgebraElement, ...],  # new generators inside the original algebra
+        p1_targets: dict[int, int],          # i -> j whenever P^1 y_i = y_j exactly
+    ):
+        self.presentation = presentation
+        self.images = images
+        self.p1_targets = p1_targets
 
     @property
     def p(self) -> int:
@@ -226,11 +230,16 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
 # pure-power lifting check on a normalized presentation
 
 
-@dataclass(frozen=True)
 class PropAResult:
-    ok: bool
-    failures: tuple[tuple[int, int, int], ...]  # (i, j, t): P^1 y_i contains y_j^t
-    checked: int
+    def __init__(
+        self,
+        ok: bool,
+        failures: tuple[tuple[int, int, int], ...],  # (i, j, t): P^1 y_i contains y_j^t
+        checked: int,
+    ):
+        self.ok = ok
+        self.failures = failures
+        self.checked = checked
 
 
 def check_prop_a(norm: NormalizedPresentation | AlgebraPresentation, n: int) -> PropAResult:
@@ -261,19 +270,32 @@ def check_prop_a(norm: NormalizedPresentation | AlgebraPresentation, n: int) -> 
 # induced-map range checks on indecomposables
 
 
-@dataclass(frozen=True)
 class RangeVerdict:
-    family: str
-    a: int
-    b: int | None
-    c: int
-    t: int
-    source_degree: int
-    target_degree: int
-    dim_source: int
-    dim_target: int
-    rank: int
-    ok: bool
+    def __init__(
+        self,
+        family: str,
+        a: int,
+        b: int | None,
+        c: int,
+        t: int,
+        source_degree: int,
+        target_degree: int,
+        dim_source: int,
+        dim_target: int,
+        rank: int,
+        ok: bool,
+    ):
+        self.family = family
+        self.a = a
+        self.b = b
+        self.c = c
+        self.t = t
+        self.source_degree = source_degree
+        self.target_degree = target_degree
+        self.dim_source = dim_source
+        self.dim_target = dim_target
+        self.rank = rank
+        self.ok = ok
 
     def key(self):
         return (self.family, self.a, self.b, self.c, self.t)
@@ -282,11 +304,16 @@ class RangeVerdict:
         return dict(vars(self))  # the fields, in declaration order
 
 
-@dataclass(frozen=True)
 class RangeCheckResult:
-    surjectivity: tuple[RangeVerdict, ...]   # family "A1"
-    vanishing: tuple[RangeVerdict, ...]      # family "A2"
-    isomorphism: tuple[RangeVerdict, ...]    # family "A3"
+    def __init__(
+        self,
+        surjectivity: tuple[RangeVerdict, ...],   # family "A1"
+        vanishing: tuple[RangeVerdict, ...],      # family "A2"
+        isomorphism: tuple[RangeVerdict, ...],    # family "A3"
+    ):
+        self.surjectivity = surjectivity
+        self.vanishing = vanishing
+        self.isomorphism = isomorphism
 
     @property
     def verdicts(self) -> tuple[RangeVerdict, ...]:
@@ -382,11 +409,16 @@ class IdealNotClosed(AlgebraError):
         self.value = value
 
 
-@dataclass(frozen=True)
 class ReducedAlgebra:
-    presentation: AlgebraPresentation  # generators z_d with half-degree h_d
-    kept: tuple[int, ...]              # indices into the original generators
-    h: tuple[int, ...]
+    def __init__(
+        self,
+        presentation: AlgebraPresentation,  # generators z_d with half-degree h_d
+        kept: tuple[int, ...],              # indices into the original generators
+        h: tuple[int, ...],
+    ):
+        self.presentation = presentation
+        self.kept = kept
+        self.h = h
 
 
 def reduce_frobenius(a: AlgebraPresentation) -> ReducedAlgebra:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from operator import add
 
 from .fp import FpMatrix, Subspace, check_odd_prime
@@ -235,11 +234,19 @@ class AlgebraPresentation:
 
     def _degree_buckets(self) -> dict[int, list[Exponents]]:
         """Every monomial with exponents <= p, bucketed by degree in one
-        pass; each bucket is lexicographic because the scan is."""
+        pass; each bucket is lexicographic because the scan is.  A second
+        product over each generator's degree contributions 0, 2m, ..., 2mp
+        runs in step with the exponent vectors, so each degree is one sum
+        over a tuple."""
         if self._basis_buckets is None:
             buckets: dict[int, list[Exponents]] = {}
-            for exps in itertools.product(range(self.p + 1), repeat=self.l):
-                buckets.setdefault(self.monomial_degree(exps), []).append(exps)
+            p = self.p
+            steps = [range(0, 2 * m * (p + 1), 2 * m) for m in self.half_degrees]
+            for exps, d in zip(
+                itertools.product(range(p + 1), repeat=self.l),
+                map(sum, itertools.product(*steps)),
+            ):
+                buckets.setdefault(d, []).append(exps)
             self._basis_buckets = buckets
         return self._basis_buckets
 
@@ -436,20 +443,60 @@ class AlgebraPresentation:
 # validation
 
 
-@dataclass(frozen=True)
 class AdemFailure:
-    a: int
-    b: int
-    monomial: Exponents
-    degree: int
+    def __init__(self, a: int, b: int, monomial: Exponents, degree: int):
+        self.a = a
+        self.b = b
+        self.monomial = monomial
+        self.degree = degree
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.monomial, self.degree) == (
+            other.a, other.b, other.monomial, other.degree
+        )
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.monomial, self.degree))
 
 
-@dataclass(frozen=True)
 class ActionValidation:
-    ok: bool
-    unstable_failures: tuple[str, ...]
-    adem_failures: tuple[AdemFailure, ...]
-    instances_checked: int
+    def __init__(
+        self,
+        ok: bool,
+        unstable_failures: tuple[str, ...],
+        adem_failures: tuple[AdemFailure, ...],
+        instances_checked: int,
+    ):
+        self.ok = ok
+        self.unstable_failures = unstable_failures
+        self.adem_failures = adem_failures
+        self.instances_checked = instances_checked
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.ok, self.unstable_failures, self.adem_failures, self.instances_checked
+        ) == (other.ok, other.unstable_failures, other.adem_failures, other.instances_checked)
+
+    def __hash__(self):
+        return hash(
+            (self.ok, self.unstable_failures, self.adem_failures, self.instances_checked)
+        )
+
+    def to_dict(self) -> dict:
+        """The fields in order, each failure as a dict of its fields."""
+        return {
+            "ok": self.ok,
+            "unstable_failures": self.unstable_failures,
+            "adem_failures": tuple(
+                {"a": f.a, "b": f.b, "monomial": f.monomial, "degree": f.degree}
+                for f in self.adem_failures
+            ),
+            "instances_checked": self.instances_checked,
+        }
 
 
 @functools.lru_cache(maxsize=None)
@@ -621,13 +668,15 @@ def filtration(a: AlgebraPresentation, t: int, d: int) -> Subspace:
     return Subspace(a.p, n, tuple(rows))
 
 
-@dataclass(frozen=True)
 class QSpace:
     """The degree-d indecomposables A^d / (decomposables), with a section."""
 
-    presentation: AlgebraPresentation
-    degree: int
-    gen_indices: tuple[int, ...]
+    def __init__(
+        self, presentation: AlgebraPresentation, degree: int, gen_indices: tuple[int, ...]
+    ):
+        self.presentation = presentation
+        self.degree = degree
+        self.gen_indices = gen_indices
 
     @property
     def dim(self) -> int:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -176,7 +175,7 @@ def decide_digests(a: AlgebraPresentation) -> dict:
     norm = normalize_generators(a)
     thm_a = check_thm_a(a)
     return {
-        "validate": sha(dataclasses.asdict(validate_action(a))),
+        "validate": sha(validate_action(a).to_dict()),
         "normalize": sha([
             render_presentation(norm.presentation),
             [render_polynomial(img) for img in norm.images],

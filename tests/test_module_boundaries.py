@@ -2,11 +2,15 @@
 imports an underscore name from another dnalg module.  And every
 ``functools`` cache decorates a module-level function, so that emptying the
 caches found in the modules' namespaces (as the benchmark does before each
-job) empties them all."""
+job) empties them all.  Starting the CLI does not import ``dataclasses``."""
 
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "dnalg"
 
@@ -131,3 +135,32 @@ def test_the_cache_guard_sees_misplaced_caches(tmp_path):
         "wrapped = lru_cache(maxsize=None)(len)\n"
     )
     assert module_level_caches(module) == (["top", "bare"], [5, 13, 16])
+
+
+def loaded_modules(statement: str) -> list[str]:
+    """The sorted ``sys.modules`` names after running one import statement in
+    a fresh interpreter that skips ``site`` (-S), so no site hook imports
+    anything first."""
+    code = f"{statement}; import json, sys; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_cli_import_skips_dataclasses_and_the_package_loads_every_module():
+    # The records are plain classes: importing dataclasses pulls in inspect,
+    # ast, dis and tokenize, and its decorators exec their methods at import,
+    # a large share of a short CLI call.
+    cli = loaded_modules("import dnalg.cli")
+    assert "dnalg.cli" in cli
+    assert [name for name in ("dataclasses", "inspect") if name in cli] == []
+    # import dnalg still loads every module, so the functools caches it holds
+    # are in sys.modules for whoever empties them.
+    package = [name for name in loaded_modules("import dnalg") if name.split(".")[0] == "dnalg"]
+    assert package == [
+        "dnalg", "dnalg.dn", "dnalg.fp", "dnalg.polytopes", "dnalg.steenrod",
+        "dnalg.theorems", "dnalg.truncated",
+    ]
+    assert {f"dnalg.{name}" for name in CACHED_NAMES} <= set(package)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -417,7 +416,7 @@ def test_builder_sets_every_field(build, cls, args):
     # left unset, and reading it would raise AttributeError.
     built = build(*args)
     assert type(built) is cls
-    assert [getattr(built, f.name) for f in dataclasses.fields(cls)] == list(args)
+    assert [getattr(built, name) for name in cls.__slots__] == list(args)
 
 
 def test_facet_vertex_count_two_two_type():

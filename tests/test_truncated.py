@@ -88,6 +88,23 @@ def test_dimension_matches_combinatorial_count():
         assert a.dim(d) == count(a.half_degrees, a.p, d)
 
 
+def test_degree_buckets_match_monomial_degree(pool):
+    # The buckets read each degree from a second product over the
+    # generators' degree contributions; the reference scan calls
+    # monomial_degree on every exponent vector.  Same buckets, same order.
+    ones = [
+        AlgebraPresentation(p, [(f"y{i}", 1) for i in range(l)])
+        for p, l in [(3, 4), (5, 3), (7, 3)]
+    ]
+    for a in list(pool) + ones + [AlgebraPresentation(5, [])]:
+        expected: dict = {}
+        for exps in itertools.product(range(a.p + 1), repeat=a.l):
+            expected.setdefault(a.monomial_degree(exps), []).append(exps)
+        buckets = a._degree_buckets()
+        assert buckets == expected
+        assert list(buckets) == list(expected)
+
+
 def test_multiply_truncation():
     a = s3_model(3, 2)
     y = a.gen(0)
