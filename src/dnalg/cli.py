@@ -186,11 +186,14 @@ def parse_presentation(text: str) -> AlgebraPresentation:
 
 
 def render_presentation(a: AlgebraPresentation) -> str:
-    """Canonical text form; parsing it back gives an equal presentation."""
+    """Canonical text form; parsing it back gives an equal presentation.
+    It lists every entry P^k y_i with 1 <= k <= m_i, zero or not, whether
+    or not ``a`` stores it, and any stored entry above m_i."""
     lines = [f"p = {a.p}"]
     for name, m in zip(a.names, a.half_degrees):
         lines.append(f"generator {name} halfdeg {m}")
-    for (i, k) in a.stored_entries():
+    below = {(i, k) for i, m in enumerate(a.half_degrees) for k in range(1, m + 1)}
+    for (i, k) in sorted(below.union(a.stored_entries())):
         entry = a.action_entry(i, k)
         lines.append(f"action P^{k} {a.names[i]} = {render_polynomial(entry)}")
     return "\n".join(lines) + "\n"

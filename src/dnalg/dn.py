@@ -30,7 +30,10 @@ coordinates of A^d sorted by word length, it is one less than the shortest
 monomial left over when image ∩ D A^d is reduced modulo the corrections.
 A degree is trivial at order n (every inclusion holds) when its shortest
 decomposable monomial has more than n factors, which the presentation's
-word-length counts answer without building a subspace.  ``check_dn(n)``
+word-length counts answer without building a subspace.  ``check_instance``
+applies the same test first: when A^d has no monomial of n or fewer
+factors, A^d = D^{n+1} A^d, so the instance is satisfied by zero
+corrections and nothing is evaluated.  ``check_dn(n)``
 runs the sweep with the orders capped at n and stops at the first case
 below n; ``max_dn`` caps them at p-1 and takes the least order over the
 cases, building each degree's slots and each case's subspaces once.
@@ -93,6 +96,10 @@ class DnInstance:
             raise AlgebraError(f"instance order must be >= 1, got {n}")
         degs = set()
         for theta, alpha in pairs:
+            if theta.p != presentation.p:
+                raise AlgebraError("prime mismatch")
+            if alpha.presentation is not presentation:
+                raise AlgebraError("presentation mismatch")
             td, ad = theta.degree(), alpha.degree()
             if td is None or ad is None:
                 raise AlgebraError("instance pairs must be homogeneous and nonzero")
@@ -158,9 +165,13 @@ def check_instance(inst: DnInstance) -> DnVerdict:
     D^{n+1} A^d is the span of the other monomials, so a value lies in
     corrections + D^{n+1} exactly when it agrees with a correction there:
     D^{n+1} needs no columns, its dimension is a count of monomials, and
-    corrections + D^{n+1} adds the rank of the projected corrections."""
+    corrections + D^{n+1} adds the rank of the projected corrections.
+    When no coordinate has n or fewer factors, A^d = D^{n+1} A^d and the
+    zero corrections are a witness, read off the word-length counts."""
     a = inst.presentation
     p, d = a.p, inst.target_degree
+    if not any(a.word_length_counts(d)[:inst.n + 1]):
+        return DnVerdict("satisfied-with-witness", inst, witness=(a.zero(),) * len(inst.pairs))
     total = inst.evaluate()
     if not total.in_filtration(2):
         return DnVerdict("vacuous", inst)

@@ -69,36 +69,38 @@ def transport(
     parts form an invertible change of generators, else ``AlgebraError`` is
     raised; the new presentation has the same names and degrees, with the
     action conjugated through the substitution.
+
+    When every image is its own generator the result is ``a`` itself:
+    presentations are immutable and their caches value-transparent, so the
+    caller keeps the warm memos.  Unlike a rebuild, ``a`` keeps its
+    ``autofilled`` record and stores exactly the entries it was given,
+    including any P^k y_i with k > m_i, which a rebuild drops, and not the
+    zero entries below m_i that a rebuild stores.
     """
     for i, img in enumerate(images):
         if img.degree() != 2 * a.half_degrees[i]:
             raise AlgebraError("substitution must preserve generator degrees")
-    # When every image is its own generator, the substitution matrix is the
-    # identity in every degree and coordinates pass through unsolved.
-    identity = all(img == a.gen(i) for i, img in enumerate(images))
-    if not identity:
-        # The linear part must be invertible: in each generator degree, the
-        # images' coefficients on that degree's generators have full rank.
-        units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
-        for m in set(a.half_degrees):
-            gens = [i for i, h in enumerate(a.half_degrees) if h == m]
-            rows = [[images[i].coefficient(units[j]) for j in gens] for i in gens]
-            if FpMatrix.from_rows(a.p, rows).rank() < len(gens):
-                raise AlgebraError("substitution is not invertible")
+    if all(img == a.gen(i) for i, img in enumerate(images)):
+        return a
+    # The linear part must be invertible: in each generator degree, the
+    # images' coefficients on that degree's generators have full rank.
+    units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
+    for m in set(a.half_degrees):
+        gens = [i for i, h in enumerate(a.half_degrees) if h == m]
+        rows = [[images[i].coefficient(units[j]) for j in gens] for i in gens]
+        if FpMatrix.from_rows(a.p, rows).rank() < len(gens):
+            raise AlgebraError("substitution is not invertible")
     inverses: dict[int, FpMatrix] = {}
 
     def backward(x: AlgebraElement, d: int) -> dict[Exponents, int]:
         if x.is_zero():
             return {}
-        coords = a.coords(x, d)
-        if not identity:
-            mat = inverses.get(d)
-            if mat is None:
-                mat = substitution_matrix(a, images, d)
-                inverses[d] = mat
-            coords = solve(mat, coords)
-            if coords is None:
-                raise AlgebraError("substitution is not invertible")
+        mat = inverses.get(d)
+        if mat is None:
+            mat = inverses[d] = substitution_matrix(a, images, d)
+        coords = solve(mat, a.coords(x, d))
+        if coords is None:
+            raise AlgebraError("substitution is not invertible")
         return {e: c for e, c in zip(a.basis_of_degree(d), coords) if c}
 
     action = {}

@@ -15,6 +15,15 @@ the degree range.  Together these imply every instance on every monomial
 Presentations are immutable after construction (caches are internal and
 value-transparent); all operations are pure.
 
+The public ``AlgebraElement`` constructor and ``element`` check every term:
+its arity and signs, and they drop monomials beyond the truncation and
+reduce coefficients mod p.  The builder ``_element`` skips that where the
+terms are clean by construction: ``gen``, ``one`` and ``zero``; ``act``,
+``act_power`` and ``act_word``, whose kernels reduce mod p and never leave
+the truncation; products, once their zero coefficients are dropped; sums
+and scalings, once reduced mod p.  The tests rebuild every such element
+through the public constructor.
+
 P^k of each monomial is computed once per presentation and kept in one memo
 dict per power index k.  The sweep reads the normal-form words of
 every Adem instance from a composition table (i, j) -> {x: P^i(P^j x)} built
@@ -90,13 +99,16 @@ class AlgebraElement:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return AlgebraElement(self.presentation, terms)
+        p = self.presentation.p
+        return _element(self.presentation, {e: r for e, c in terms.items() if (r := c % p)})
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "AlgebraElement":
-        return AlgebraElement(self.presentation, {e: v * c for e, v in self.terms.items()})
+        p = self.presentation.p
+        terms = {e: r for e, v in self.terms.items() if (r := v * c % p)}
+        return _element(self.presentation, terms)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -108,7 +120,7 @@ class AlgebraElement:
                 if any(x > p for x in e):
                     continue
                 terms[e] = (terms.get(e, 0) + c1 * c2) % p
-        return AlgebraElement(self.presentation, terms)
+        return _element(self.presentation, {e: c for e, c in terms.items() if c})
 
     def __pow__(self, n: int) -> "AlgebraElement":
         result = self.presentation.one()
@@ -132,6 +144,17 @@ class AlgebraElement:
     def _check(self, other: "AlgebraElement") -> None:
         if self.presentation is not other.presentation:
             raise AlgebraError("presentation mismatch")
+
+
+def _element(presentation: "AlgebraPresentation", terms: dict[Exponents, int]) -> AlgebraElement:
+    """An ``AlgebraElement`` built unchecked, for ``terms`` that are clean
+    by construction: every exponent vector has the presentation's arity,
+    no negative entry and none above p, and every coefficient is nonzero
+    and reduced mod p."""
+    x = object.__new__(AlgebraElement)
+    x.presentation = presentation
+    x.terms = terms
+    return x
 
 
 def render_polynomial(x: AlgebraElement) -> str:
@@ -279,14 +302,14 @@ class AlgebraPresentation:
         return AlgebraElement(self, terms)
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, {})
+        return _element(self, {})
 
     def one(self) -> AlgebraElement:
-        return AlgebraElement(self, {tuple([0] * self.l): 1})
+        return _element(self, {tuple([0] * self.l): 1})
 
     def gen(self, i: int) -> AlgebraElement:
         exps = tuple(1 if j == i else 0 for j in range(self.l))
-        return AlgebraElement(self, {exps: 1})
+        return _element(self, {exps: 1})
 
     def generator(self, name: str) -> AlgebraElement:
         return self.gen(self._index[name])
@@ -421,18 +444,18 @@ class AlgebraPresentation:
             raise AlgebraError("negative reduced power")
         if k == 0:
             return x
-        return self.element(self._act_power_terms(k, x.terms))
+        return _element(self, self._act_power_terms(k, x.terms))
 
     def act_word(self, mono: SteenrodMonomial, x: AlgebraElement) -> AlgebraElement:
         """Apply a word right-to-left; the Bockstein kills everything here."""
         if mono.p != self.p:
             raise AlgebraError("prime mismatch")
-        return self.element(self._act_word_terms(mono, x.terms))
+        return _element(self, self._act_word_terms(mono, x.terms))
 
     def act(self, theta: SteenrodElement, x: AlgebraElement) -> AlgebraElement:
         if theta.p != self.p:
             raise AlgebraError("prime mismatch")
-        return self.element(self._act_terms(theta.terms.items(), x.terms))
+        return _element(self, self._act_terms(theta.terms.items(), x.terms))
 
     def __repr__(self):
         gens = ", ".join(f"{n}:{2 * m}" for n, m in zip(self.names, self.half_degrees))

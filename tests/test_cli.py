@@ -324,6 +324,22 @@ def test_normalize_command(capsys, s3_file):
     assert reparsed.half_degrees == (2,)
 
 
+def test_normalize_lists_every_entry_up_to_the_half_degree(capsys, tmp_path):
+    # Already normal: the normalized presentation is the parsed one, which
+    # stores only the top entry, yet the report lists the zero entries too.
+    path = tmp_path / "y6.txt"
+    path.write_text("p = 3\ngenerator y6 halfdeg 3\n")
+    code, out = run(capsys, "normalize", str(path))
+    assert code == 0
+    assert json.loads(out)["presentation"] == [
+        "p = 3",
+        "generator y6 halfdeg 3",
+        "action P^1 y6 = 0",
+        "action P^2 y6 = 0",
+        "action P^3 y6 = y6^3",
+    ]
+
+
 def test_out_and_quiet(capsys, s3_file, tmp_path):
     target = tmp_path / "report.json"
     code, out = run(capsys, "validate", s3_file, "--quiet", "--out", str(target))

@@ -1,10 +1,12 @@
 import collections
 import itertools
+import pathlib
 import random
 
 import pytest
 
 from dnalg import dn, truncated
+from dnalg.cli import parse_presentation
 from dnalg.dn import (
     DnInstance,
     DnSearchConfig,
@@ -153,13 +155,14 @@ def assert_witness_reverifies(inst, witness):
     assert total.in_filtration(inst.n + 1)
 
 
-def random_pairs(rng, a, ks):
+def random_pairs(rng, a, ks, keep=lambda d: True):
     """(P^k, alpha) for each k in ks, all landing in one random target
-    degree whose sources are nonzero positive degrees; None if none is."""
+    degree that ``keep`` accepts and whose sources are nonzero positive
+    degrees; None if none is."""
     step = 2 * (a.p - 1)
     targets = [
         d for d in a.nonzero_degrees()
-        if all(d - k * step > 0 and a.dim(d - k * step) for k in ks)
+        if keep(d) and all(d - k * step > 0 and a.dim(d - k * step) for k in ks)
     ]
     if not targets:
         return None
@@ -205,6 +208,56 @@ def test_check_instance_matches_full_system_oracle(pool):
         ("violated", False): 71,
         ("violated", True): 7,
     }
+
+
+def test_deep_degree_instances_are_answered_from_counts(pool, monkeypatch):
+    """When A^d has no monomial of n or fewer factors, A^d = D^{n+1} A^d:
+    check_instance answers from the word-length counts alone, with the
+    full system's verdict and zero corrections, and never evaluates the
+    instance.  The inputs are the decide benchmark's seeded instances on
+    its half-degree-1 models (target degree 2 + 4(p-1), whose monomials
+    have 2p-1 factors), and seeded instances on the pool models at every
+    order n in 1..p for which their target degree is that deep."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    instances = []
+    for mid, text in workloads.load_models():
+        if mid.startswith("ones"):
+            a = parse_presentation(text)
+            monomials = workloads.monomials_by_degree(a)
+            for seed in range(5):
+                rng = random.Random(seed)
+                for shape in range(3):
+                    plain = workloads.random_instance(rng, a, monomials, shape)
+                    instances.append(workloads.build_instance(a, plain))
+    ones = len(instances)
+    rng = random.Random(43)
+    for a in pool:
+        for ks in ((1,), (2,), (1, 2)):
+            pairs = random_pairs(rng, a, ks, keep=lambda d: not any(a.word_length_counts(d)[:2]))
+            if pairs is None:
+                continue
+            theta, alpha = pairs[0]
+            counts = a.word_length_counts(theta.degree() + alpha.degree())
+            instances += [
+                DnInstance(a, pairs, n) for n in range(1, a.p + 1) if not any(counts[:n + 1])
+            ]
+    for inst in instances:  # the benchmark's draw must stay deep for this input
+        counts = inst.presentation.word_length_counts(inst.target_degree)
+        assert not any(counts[:inst.n + 1]), inst.to_dict()
+    want = [oracle_check_instance(inst) for inst in instances]
+    evaluated = []
+    monkeypatch.setattr(DnInstance, "evaluate", lambda inst: evaluated.append(inst))
+    got = [check_instance(inst) for inst in instances]
+    assert evaluated == []
+    for inst, g, w in zip(instances, got, want):
+        assert (g.status, g.certificate) == (w.status, w.certificate) == (
+            "satisfied-with-witness", None
+        )
+        assert all(nu.is_zero() for nu in g.witness)
+        assert_witness_reverifies(inst, g.witness)
+    assert (ones, len(instances)) == (45, 901)
 
 
 def exhaustive_decider(inst):
@@ -435,6 +488,13 @@ def test_instance_requires_consistent_degrees():
             ),
             1,
         )
+    # Both would land in degree 12 = |y^3|, which is deep at n = 2, so
+    # check_instance would answer them without evaluating anything.
+    with pytest.raises(AlgebraError, match="prime mismatch"):
+        DnInstance(a, ((SteenrodElement.power(5, 1), a.gen(0)),), 2)
+    b = AlgebraPresentation(3, [("y", 2)], {("y", 1): {(2,): 1}})
+    with pytest.raises(AlgebraError, match="presentation mismatch"):
+        DnInstance(a, ((SteenrodElement.power(3, 2), b.gen(0)),), 2)
 
 
 def test_violation_values_escape_corrections():

@@ -239,6 +239,26 @@ def test_identity_transport_matches_solve(pool):
             )
 
 
+def test_identity_transport_is_the_presentation_itself(pool):
+    rng = random.Random(59)
+    models = list(pool) + [
+        random_table(rng, 3, rng.choice([(2, 4), (2, 2, 4), (2, 4, 6)]))
+        for _ in range(10)
+    ]
+    for a in models:
+        assert transport(a, [a.gen(i) for i in range(a.l)]) is a
+    assert len(pool) == 88
+    for a in pool:
+        assert normalize_generators(a).presentation is a
+    # So the result keeps what a rebuild would not: the autofilled record,
+    # and a stored entry above the half-degree.
+    a = AlgebraPresentation(3, [("y", 2)], {("y", 1): {(2,): 1}, ("y", 3): {}})
+    b = transport(a, [a.gen(0)])
+    assert b.autofilled == (("y", 2),) and b.stored_entries() == [(0, 1), (0, 2), (0, 3)]
+    rebuilt = _transport_by_solve(a, [a.gen(0)])
+    assert rebuilt.autofilled == () and rebuilt.stored_entries() == [(0, 1), (0, 2)]
+
+
 def test_verdicts_are_invariant_under_truncation_preserving_substitutions(pool):
     """Each substitution permutes the generators of equal degree, rescales
     them, and adds to each a random decomposable of its degree when the

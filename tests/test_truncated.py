@@ -14,6 +14,7 @@ from dnalg.steenrod import (
 from dnalg.truncated import (
     ActionValidation,
     AdemFailure,
+    AlgebraElement,
     AlgebraError,
     AlgebraPresentation,
     adem_instance_count,
@@ -635,6 +636,58 @@ def test_element_degree_flags():
     assert a.gen(0).in_filtration(1)
     assert not a.gen(0).in_filtration(2)
     assert (a.gen(0) * a.gen(0)).in_filtration(2)
+
+
+def test_built_elements_equal_their_public_rebuild(pool):
+    """Generators, unit, zero, the action, products, sums and scalings are
+    built unchecked; each equals its rebuild through the public
+    constructor, with the same terms in the same order."""
+    rng = random.Random(61)
+    built = 0
+
+    def same(x):
+        nonlocal built
+        rebuilt = AlgebraElement(x.presentation, x.terms)
+        assert list(rebuilt.terms.items()) == list(x.terms.items())
+        assert rebuilt == x
+        built += 1
+        return x
+
+    for a in pool:
+        p = a.p
+        for x in [a.zero(), a.one()] + [a.gen(i) for i in range(a.l)]:
+            same(x)
+        same(a.gen(0) ** p * a.gen(0))  # beyond the truncation: zero
+        for d in rng.sample(a.nonzero_degrees(), 3):
+            x, y = random_element(rng, a, d), random_element(rng, a, d)
+            z = random_element(rng, a, rng.choice(a.nonzero_degrees()))
+            for value in (x + y, x - y, x - x, x.scale(rng.randrange(-p, 2 * p)), x.scale(p)):
+                same(value)
+            same(x * z)
+            for k in range(3):
+                same(a.act_power(k + 1, x))
+            steps = range(2 * (p - 1), a.top_degree - d + 1, 2 * (p - 1))
+            words = [SteenrodMonomial.unit(p), SteenrodMonomial(p, (0, 1), (1,))]
+            words += [w for q in steps for w in steenrod_basis(p, q, top=a.top_degree)]
+            for w in rng.sample(words, min(4, len(words))):
+                same(a.act_word(w, x))
+                same(a.act(SteenrodElement(p, {w: rng.randrange(1, p)}), x))
+            same(a.act(SteenrodElement.power(p, 1) + SteenrodElement.power(p, 1), x))
+    assert built == 4926
+
+
+def test_public_element_constructor_keeps_its_checks():
+    a = two_gen_shape()
+    with pytest.raises(AlgebraError, match="exponent vector has wrong length"):
+        AlgebraElement(a, {(1,): 1})
+    with pytest.raises(AlgebraError, match="negative exponent"):
+        AlgebraElement(a, {(-1, 1): 1})
+    with pytest.raises(AlgebraError, match="exponent vector has wrong length"):
+        a.element({(1, 0, 0): 1})
+    with pytest.raises(AlgebraError, match="negative exponent"):
+        a.element({(2, -1): 1})
+    # beyond the truncation and zero mod p: dropped, the rest reduced
+    assert a.element({(4, 0): 1, (1, 1): 3, (0, 1): 5}).terms == {(0, 1): 2}
 
 
 def test_prime_mismatch_rejected():
