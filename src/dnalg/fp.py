@@ -502,8 +502,11 @@ def solve_polynomial_system(p: int, n: int, equations) -> list[Vector]:
             if not linear:
                 break
             eqs = [f for f in eqs if not all(len(m) <= 1 for m in f)]
+            # Every fixed variable is substituted out of eqs when it is
+            # fixed, so a linear row holds only those fixed in this batch.
+            start = len(fixed)
             for f in linear:
-                for v, expr in fixed:
+                for v, expr in fixed[start:]:
                     f = poly_substitute(f, v, expr, p)
                 if list(f) == [()]:
                     return

@@ -37,7 +37,6 @@ from .truncated import (
     adem_instances,
     indecomposables,
     induced_q_map,
-    validate_action,
 )
 
 
@@ -519,42 +518,72 @@ def _symbolic_entries(a: AlgebraPresentation, blocks) -> dict[tuple[int, int], d
 
 def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
     """The coefficients of LHS - RHS of every instance (P^a, P^b, monomial),
-    as polynomials in the variables of ``entries`` (see ``_symbolic_entries``)."""
+    as polynomials in the variables of ``entries`` (see ``_symbolic_entries``).
+    ``power`` is ``_act_power_raw`` over polynomials.  As in ``validate_action``,
+    each normal-form word P^s P^t is evaluated once per monomial, with
+    coefficient 1, into a table (s, t) -> {x: P^s(P^t x)} and scaled into each
+    instance; the coefficients are units, so no monomial moves or vanishes."""
     p, one = a.p, {(): 1}
-    memo: dict[tuple[int, Exponents], dict[Exponents, Poly]] = {}
+    memos: dict[int, dict[Exponents, dict[Exponents, Poly]]] = {}
 
     def power(k: int, exps: Exponents) -> dict[Exponents, Poly]:
-        """P^k on one monomial, by the recursion of ``_act_power_raw``."""
-        if (k, exps) not in memo:
-            i = max((j for j, e in enumerate(exps) if e), default=-1)
-            acc: dict[Exponents, dict] = {}
-            if i >= 0:  # else the unit: P^k 1 = 0
-                x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                for j in range(min(k, a.half_degrees[i]) + 1):
-                    for e1, c1 in ({x: one} if j == k else power(k - j, x)).items():
-                        for e2, c2 in entries[(i, j)].items():
-                            e = tuple(map(add, e1, e2))
-                            if max(e) <= p:
-                                poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
-            memo[(k, exps)] = {e: c for e, f in acc.items() if (c := poly_reduce(f, p))}
-        return memo[(k, exps)]
+        """P^k (k >= 1) on one monomial, memoized per k."""
+        memo = memos.get(k)
+        if memo is None:
+            memo = memos[k] = {}
+        cached = memo.get(exps)
+        if cached is not None:
+            return cached
+        i = len(exps) - 1
+        while i >= 0 and not exps[i]:
+            i -= 1
+        acc: dict[Exponents, dict] = {}
+        if i >= 0:  # else the unit: P^k 1 = 0
+            x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            for e1, c1 in power(k, x).items():
+                if e1[i] < p:  # distinct e1 raise to distinct monomials
+                    acc[e1[:i] + (e1[i] + 1,) + e1[i + 1:]] = dict(c1)
+            m = a.half_degrees[i]
+            for j in range(1, min(k - 1, m) + 1):
+                g = entries[(i, j)]
+                for e1, c1 in power(k - j, x).items():
+                    for e2, c2 in g.items():
+                        e = tuple(map(add, e1, e2))
+                        if max(e) <= p:
+                            poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
+            if k <= m:
+                for e2, c2 in entries[(i, k)].items():
+                    e = tuple(map(add, x, e2))
+                    if max(e) <= p:
+                        poly_mul_into(acc.setdefault(e, {}), one, c2, p)
+        out = memo[exps] = {e: c for e, f in acc.items() if (c := poly_reduce(f, p))}
+        return out
 
+    def compose(s: int, t: int, exps: Exponents) -> dict[Exponents, Poly]:
+        """P^s P^t on one monomial, in fresh dicts when t >= 1."""
+        if not t:
+            return power(s, exps)
+        acc: dict[Exponents, dict] = {}
+        for x, f in power(t, exps).items():
+            for e, g in power(s, x).items():
+                poly_mul_into(acc.setdefault(e, {}), f, g, p)
+        return {e: c for e, g in acc.items() if (c := poly_reduce(g, p))}
+
+    table: dict[tuple[int, int], dict[Exponents, dict[Exponents, Poly]]] = {}
     equations = []
     for ae, be, exps in instances:
-        diff: dict[Exponents, dict] = {}
-        words = [((ae, be), 1)] + [
-            ((s, t) if t else (s,), -c) for c, s, t in adem_relation(p, ae, be)
-        ]
-        for pows, c in words:
-            terms = {exps: {(): c}}
-            for k in reversed(pows):
-                acc: dict[Exponents, dict] = {}
-                for x, f in terms.items():
-                    for e, g in power(k, x).items():
-                        poly_mul_into(acc.setdefault(e, {}), f, g, p)
-                terms = {e: f for e, g in acc.items() if (f := poly_reduce(g, p))}
-            for e, f in terms.items():
-                poly_mul_into(diff.setdefault(e, {}), one, f, p)
+        # No other instance shares the left side, so it is composed fresh
+        # (be >= 1) and the right side is subtracted into it.
+        diff = compose(ae, be, exps)
+        for c, s, t in adem_relation(p, ae, be):
+            row = table.setdefault((s, t), {})
+            image = row.get(exps)
+            if image is None:
+                image = row[exps] = compose(s, t, exps)
+            for e, f in image.items():
+                acc = diff.setdefault(e, {})
+                for m, v in f.items():
+                    acc[m] = acc.get(m, 0) - c * v
         equations.extend(poly_reduce(f, p) for f in diff.values())
     return equations
 
@@ -600,8 +629,8 @@ def derive_actions(
     exactly the tables that ``validate_action`` accepts.  The solver
     eliminates what is linear and branches on what stays nonlinear.
     ``max_unknowns`` bounds the variable count before any elimination.
-    With no variable, the one forced table (stable, as P(y_i) = y_i + y_i^p)
-    is checked by ``validate_action``."""
+    Each table is built on the generator-only probe with
+    ``AlgebraPresentation.with_action``."""
     check_odd_prime(p)
     if max_unknowns < 0:
         raise ValueError(f"max_unknowns must be >= 0, got {max_unknowns}")
@@ -625,14 +654,11 @@ def derive_actions(
 
     def table(vector) -> AlgebraPresentation:
         coeffs = iter(vector)
-        return AlgebraPresentation(p, gens, {
-            (names[i], k): {e: c for e, c in zip(basis, coeffs) if c}
+        return probe.with_action({
+            (i, k): {e: c for e, c in zip(basis, coeffs) if c}
             for i, k, basis in blocks
         })
 
-    if not total_unknowns:
-        forced = table(())
-        return [forced] if validate_action(forced).ok else []
     instances = [
         (ae, be, tuple(int(j == i) for j in range(len(ms))))
         for ae, be, d in adem_instances(p, tuple(sorted(set(probe.degrees))), probe.top_degree)

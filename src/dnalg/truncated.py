@@ -13,7 +13,10 @@ the degree range.  Together these imply every instance on every monomial
 (see its docstring).
 
 Presentations are immutable after construction (caches are internal and
-value-transparent); all operations are pure.
+value-transparent); all operations are pure.  ``with_action`` builds a table
+on the same generators without re-checking them, sharing the degree buckets
+and per-degree basis indices: these depend on the generators alone and are
+never mutated once built (``basis_of_degree`` hands out copies).
 
 The public ``AlgebraElement`` constructor and ``element`` check every term:
 its arity and signs, and they drop monomials beyond the truncation and
@@ -238,6 +241,35 @@ class AlgebraPresentation:
                         f"{self.monomial_degree(exps)}, expected {want}"
                     )
 
+    def with_action(
+        self, action: dict[tuple[int, int], dict[Exponents, int]]
+    ) -> "AlgebraPresentation":
+        """A presentation on these generators with the entries P^k y_i of
+        ``action``, keyed by (generator index, k) for 1 <= k < m_i; every
+        P^{m_i} y_i = y_i^p is filled in and recorded in ``autofilled``, as
+        the constructor does, sharing the generator-only caches (see the
+        module docstring).  Each monomial must lie in the basis of its
+        entry's degree and each coefficient in 1..p-1, else ``AlgebraError``."""
+        p, l = self.p, self.l
+        for (i, k), poly in action.items():
+            if not (0 <= i < l and 1 <= k < self.half_degrees[i]):
+                raise AlgebraError(f"P^{k} on generator {i} is no free entry")
+            index = self._index_of_degree(2 * self.half_degrees[i] + 2 * k * (p - 1))
+            for exps, c in poly.items():
+                if exps not in index:
+                    raise AlgebraError(f"P^{k} {self.names[i]} entry {exps} is not of its degree")
+                if not 0 < c < p:
+                    raise AlgebraError(f"coefficient {c} is not in 1..{p - 1}")
+        a = object.__new__(AlgebraPresentation)
+        a.p, a.names, a.half_degrees, a._index = p, self.names, self.half_degrees, self._index
+        a._action = {key: dict(poly) for key, poly in action.items()}
+        for i, m in enumerate(self.half_degrees):
+            a._action[(i, m)] = {tuple(p if j == i else 0 for j in range(l)): 1}
+        a.autofilled = tuple(zip(self.names, self.half_degrees))
+        a._basis_buckets, a._basis_index = self._degree_buckets(), self._basis_index
+        a._length_counts, a._power_memo = {}, {}
+        return a
+
     # -- structure ----------------------------------------------------------
 
     @property
@@ -328,11 +360,15 @@ class AlgebraPresentation:
             raise AlgebraError("prime mismatch")
         return self._coords_of_terms(self._act_word_terms(mono, {exps: 1}), d)
 
-    def _coords_of_terms(self, terms: dict, d: int) -> tuple[int, ...]:
+    def _index_of_degree(self, d: int) -> dict[Exponents, int]:
         index = self._basis_index.get(d)
         if index is None:
             basis = self._degree_buckets().get(d, ())
             index = self._basis_index[d] = {e: r for r, e in enumerate(basis)}
+        return index
+
+    def _coords_of_terms(self, terms: dict, d: int) -> tuple[int, ...]:
+        index = self._index_of_degree(d)
         v = [0] * len(index)
         for exps, c in terms.items():
             r = index.get(exps)

@@ -7,13 +7,22 @@ import hashlib
 import itertools
 import json
 import random
+from operator import add
 
 import pytest
 
 from dnalg import theorems
 from dnalg.cli import render_presentation
 from dnalg.dn import DnVerdict, max_dn
-from dnalg.fp import FpMatrix, Subspace, solve, solve_polynomial_system
+from dnalg.fp import (
+    FpMatrix,
+    Subspace,
+    poly_mul_into,
+    poly_reduce,
+    solve,
+    solve_polynomial_system,
+)
+from dnalg.steenrod import adem_relation
 from dnalg.theorems import check_thm_a, derive_actions, normalize_generators
 from dnalg.truncated import (
     AlgebraPresentation,
@@ -64,6 +73,50 @@ def entry_vector(a: AlgebraPresentation, blocks) -> tuple[int, ...]:
     return tuple(a.action_entry(i, k).coefficient(e) for i, k, basis in blocks for e in basis)
 
 
+def reference_adem_equations(a: AlgebraPresentation, entries, instances):
+    """The reference for ``theorems._adem_equations``, with none of its
+    shortcuts: P^k on one monomial by the Cartan recursion over every j
+    (the j = 0 and j = k terms as products too), memoized per (k,
+    monomial), and every word of every instance evaluated afresh with its
+    coefficient folded in.  ``oracle_derived`` solves with it."""
+    p, one = a.p, {(): 1}
+    memo = {}
+
+    def power(k, exps):
+        if (k, exps) not in memo:
+            i = max((j for j, e in enumerate(exps) if e), default=-1)
+            acc = {}
+            if i >= 0:  # else the unit: P^k 1 = 0
+                x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                for j in range(min(k, a.half_degrees[i]) + 1):
+                    for e1, c1 in ({x: one} if j == k else power(k - j, x)).items():
+                        for e2, c2 in entries[(i, j)].items():
+                            e = tuple(map(add, e1, e2))
+                            if max(e) <= p:
+                                poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
+            memo[(k, exps)] = {e: c for e, f in acc.items() if (c := poly_reduce(f, p))}
+        return memo[(k, exps)]
+
+    equations = []
+    for ae, be, exps in instances:
+        diff = {}
+        words = [((ae, be), 1)] + [
+            ((s, t) if t else (s,), -c) for c, s, t in adem_relation(p, ae, be)
+        ]
+        for pows, c in words:
+            terms = {exps: {(): c}}
+            for k in reversed(pows):
+                acc = {}
+                for x, f in terms.items():
+                    for e, g in power(k, x).items():
+                        poly_mul_into(acc.setdefault(e, {}), f, g, p)
+                terms = {e: f for e, g in acc.items() if (f := poly_reduce(g, p))}
+            for e, f in terms.items():
+                poly_mul_into(diff.setdefault(e, {}), one, f, p)
+        equations.extend(poly_reduce(f, p) for f in diff.values())
+    return equations
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_derived(p: int, half_degrees: tuple[int, ...]):
     """Every table on which each in-range Adem instance holds on every basis
@@ -76,7 +129,7 @@ def oracle_derived(p: int, half_degrees: tuple[int, ...]):
         for exps in probe.basis_of_degree(d)
     ]
     entries = theorems._symbolic_entries(probe, blocks)
-    equations = theorems._adem_equations(probe, entries, instances)
+    equations = reference_adem_equations(probe, entries, instances)
     unknowns = sum(len(basis) for *_, basis in blocks)
     return tuple(
         table_of(probe, blocks, v) for v in solve_polynomial_system(p, unknowns, equations)

@@ -27,6 +27,7 @@ from dnalg.theorems import (
 from dnalg.truncated import (
     AlgebraError,
     AlgebraPresentation,
+    adem_instances,
     induced_q_map,
     preserves_truncation,
     render_polynomial,
@@ -43,6 +44,7 @@ from conftest import (
     oracle_derived,
     random_element,
     random_table,
+    reference_adem_equations,
     s3_model,
     stable,
     table_of,
@@ -686,6 +688,77 @@ def test_derive_is_empty_exactly_off_the_classical_degrees(p):
 DERIVE_GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "derive_tables.json").read_text()
 )
+
+
+def test_adem_equations_match_the_reference_kernel():
+    # Same equations in the same order, each with its monomials in the same
+    # order, on the instances derive uses (generators) and on the oracle's
+    # (every basis monomial).
+    shapes = POOL_TUPLES + [
+        (3, (2, 4)), (3, (3, 6)), (3, (1, 1, 1, 1)), (5, (1, 1, 1)), (7, (1, 1, 1)),
+        (7, (2, 2)), (3, (1, 2, 3)),
+    ]
+    compared = 0
+    for p, ms in shapes:
+        probe, blocks = free_entries(p, ms)
+        entries = theorems._symbolic_entries(probe, blocks)
+        units = [tuple(int(j == i) for j in range(probe.l)) for i in range(probe.l)]
+        on_generators = [
+            (ae, be, units[i])
+            for ae, be, d in adem_instances(p, tuple(sorted(set(probe.degrees))), probe.top_degree)
+            for i in range(probe.l)
+            if probe.degrees[i] == d
+        ]
+        on_monomials = [
+            (ae, be, exps)
+            for ae, be, d in adem_instances(p, tuple(probe.nonzero_degrees()), probe.top_degree)
+            for exps in probe.basis_of_degree(d)
+        ]
+        for instances in (on_generators, on_monomials):
+            got = theorems._adem_equations(probe, entries, instances)
+            want = reference_adem_equations(probe, entries, instances)
+            assert [list(f.items()) for f in got] == [list(f.items()) for f in want], (p, ms)
+            compared += len(want)
+    assert compared == 1625
+
+
+def test_derived_tables_equal_their_public_rebuild():
+    # derive builds its tables with with_action on the probe; each equals
+    # the table the public constructor makes from the same coefficients.
+    golden = (key.split(":") for key in DERIVE_GOLDEN)
+    shapes = set(POOL_TUPLES) | {(int(p), tuple(int(m) for m in ms.split(","))) for p, ms in golden}
+    checked = 0
+    for p, ms in sorted(shapes):
+        probe, blocks = free_entries(p, ms)
+        for a in derived(p, ms):
+            b = table_of(probe, blocks, entry_vector(a, blocks))
+            assert (a.names, a.half_degrees, a.autofilled) == (b.names, b.half_degrees, b.autofilled)
+            assert a.stored_entries() == b.stored_entries()
+            for i, k in b.stored_entries():
+                assert a.action_entry(i, k).terms == b.action_entry(i, k).terms
+            assert render_presentation(a) == render_presentation(b)
+            for d in range(a.top_degree + 2):
+                assert a.basis_of_degree(d) == b.basis_of_degree(d)
+            checked += 1
+    assert checked == 209
+
+
+def test_derive_without_unknowns_matches_validate_action():
+    # With no free coefficient derive solves a system of constants; the
+    # forced table (P^{m_i} y_i = y_i^p, every other entry zero) must be
+    # listed exactly when validate_action accepts it.
+    shapes = []
+    for p in (3, 5, 7):
+        for l in (1, 2, 3):
+            for ms in itertools.combinations_with_replacement(range(1, 2 * p + 1), l):
+                probe, blocks = free_entries(p, ms)
+                if not any(basis for *_, basis in blocks):
+                    shapes.append((p, ms, table_of(probe, blocks, ())))
+    for p, ms, forced in shapes:
+        want = [forced] if validate_action(forced).ok else []
+        got = derive_actions(p, list(ms))
+        assert [render_presentation(a) for a in got] == [render_presentation(a) for a in want], (p, ms)
+    assert (len(shapes), sum(validate_action(t).ok for *_, t in shapes)) == (39, 18)
 
 
 @pytest.mark.parametrize("shape", sorted(DERIVE_GOLDEN))

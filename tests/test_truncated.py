@@ -690,6 +690,33 @@ def test_public_element_constructor_keeps_its_checks():
     assert a.element({(4, 0): 1, (1, 1): 3, (0, 1): 5}).terms == {(0, 1): 2}
 
 
+def test_with_action_checks_every_entry():
+    # Free entries on y4 (m=2): P^1 in degree 8; on y8 (m=4): P^1..P^3 in
+    # degrees 12, 16, 20.
+    probe = AlgebraPresentation(3, [("y4", 2), ("y8", 4)])
+    a = probe.with_action({(0, 1): {(0, 1): 1}, (1, 1): {(3, 0): 2}})
+    want = two_gen_shape()
+    assert a.stored_entries() == want.stored_entries()
+    assert a.autofilled == want.autofilled == (("y4", 2), ("y8", 4))
+    for i, k in want.stored_entries():
+        assert a.action_entry(i, k).terms == want.action_entry(i, k).terms
+    bad = [
+        ({(0, 1): {(1, 1): 1}}, "not of its degree"),   # y4*y8 has degree 12, not 8
+        ({(0, 1): {(0, 1, 0): 1}}, "not of its degree"),  # wrong arity
+        ({(0, 1): {(4, 0): 1}}, "not of its degree"),   # beyond the truncation
+        ({(0, 0): {(1, 0): 1}}, "no free entry"),       # k = 0
+        ({(0, 2): {(3, 0): 1}}, "no free entry"),       # k = m_i: forced
+        ({(1, 4): {(3, 0): 1}}, "no free entry"),
+        ({(2, 1): {}}, "no free entry"),                # no third generator
+        ({(0, 1): {(0, 1): 0}}, "not in 1..2"),
+        ({(0, 1): {(0, 1): 3}}, "not in 1..2"),
+        ({(0, 1): {(0, 1): -1}}, "not in 1..2"),
+    ]
+    for action, message in bad:
+        with pytest.raises(AlgebraError, match=message):
+            probe.with_action(action)
+
+
 def test_prime_mismatch_rejected():
     a = s3_model(3, 2)
     with pytest.raises(AlgebraError):
