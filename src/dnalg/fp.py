@@ -478,7 +478,44 @@ def _echelon(equations, p: int) -> list[Poly]:
     return list(rows.values())
 
 
-def solve_polynomial_system(p: int, n: int, equations) -> list[Vector]:
+def _primitive_root(p: int) -> int:
+    order = p - 1
+    divisors = [q for q in range(2, p) if order % q == 0]
+    return next(g for g in range(2, p) if all(pow(g, order // q, p) != 1 for q in divisors))
+
+
+def _split_torus(group: list[Vector], v: int, order: int):
+    """Split a subgroup G of the torus at the character chi_v of variable v.
+
+    G is given by generators, each the tuple of the exponents (mod ``order``
+    = p - 1) of a primitive root that the characters of the variables take
+    on it.  Euclid's algorithm on the v-th exponents, applied to whole
+    generators, keeps G and leaves at most one generator h with a nonzero
+    v-th exponent e, so chi_v(G) is generated by chi_v(h).  Returns the
+    index d = gcd(e, order) of chi_v(G) in F_p^*, h, and generators of
+    G ∩ ker chi_v: the other nonzero generators and (order / d) * h unless
+    it is zero.  When chi_v is trivial on G, that is (order, None, G).
+    """
+    pivot, rest = None, []
+    for h in group:
+        if h[v] and pivot is not None:
+            while h[v]:
+                q = pivot[v] // h[v]
+                pivot, h = h, tuple((a - q * b) % order for a, b in zip(pivot, h))
+        if h[v]:
+            pivot = h
+        elif any(h):
+            rest.append(h)
+    if pivot is None:
+        return order, None, group
+    d, e = order, pivot[v]
+    while e:
+        d, e = e, d % e
+    power = tuple(order // d * a % order for a in pivot)
+    return d, pivot, rest + [power] if any(power) else rest
+
+
+def solve_polynomial_system(p: int, n: int, equations, grading=None) -> list[Vector]:
     """Every point of F_p^n at which all the given polynomials vanish, in
     lexicographic order.
 
@@ -490,10 +527,30 @@ def solve_polynomial_system(p: int, n: int, equations) -> list[Vector]:
     equations.  When no equation is left, the variables neither eliminated
     nor fixed run freely, and the eliminated ones are read back in reverse
     order of elimination.
+
+    ``grading``, when given, holds one Z^l degree w_v per variable, and the
+    caller guarantees that every equation is homogeneous for it modulo
+    p - 1: the degrees sum_{x in m} w_x of its monomials m agree modulo
+    p - 1 (the constant monomial has degree 0).  Then the torus (F_p^*)^l,
+    acting by x_v -> chi_v(c) x_v with chi_v(c) = prod_j c_j^{w_vj}, maps
+    solutions to solutions, and the solver branches once per orbit: at a
+    branch on v fixed by the subgroup G of the torus, it tries 0 (keeping G)
+    and one value c per coset of chi_v(G) in F_p^* (passing on
+    G ∩ ker chi_v).  An element h of G with chi_v(G) generated by chi_v(h)
+    maps the solutions with x_v = c onto those with x_v = chi_v(h)^k c, so
+    the solutions found under c, mapped by h, h^2, ..., list every other
+    value of its coset, each solution once.  The result is the full sorted
+    list either way; a grading for which some equation is not homogeneous
+    gives a wrong one.
     """
+    if grading is not None and len(grading) != n:
+        raise ValueError(f"grading has {len(grading)} degrees for {n} variables")
+    order = p - 1
+    root = None  # a primitive root of p, found at the first branch it serves
     solutions: list[Vector] = []
 
-    def branch(eqs: list[Poly], fixed: list[tuple[int, Poly]]) -> None:
+    def branch(eqs: list[Poly], fixed: list[tuple[int, Poly]], group: list | None) -> None:
+        nonlocal root
         while True:
             eqs = _echelon(eqs, p)
             if any(list(f) == [()] for f in eqs):
@@ -522,9 +579,25 @@ def solve_polynomial_system(p: int, n: int, equations) -> list[Vector]:
                 for x in {x for m in f for x in m}:
                     counts[x] = counts.get(x, 0) + 1
             v = max(counts, key=lambda x: (counts[x], -x))
-            for value in range(p):
-                const = {(): value} if value else {}
-                branch([poly_substitute(f, v, const, p) for f in eqs], fixed + [(v, const)])
+            if group is None:  # the whole torus, one generator per grading direction
+                columns = (tuple(x % order for x in c) for c in zip(*grading or ()))
+                group = [c for c in columns if any(c)]
+            branch([poly_substitute(f, v, {}, p) for f in eqs], fixed + [(v, {})], group)
+            d, h, kernel = _split_torus(group, v, order)
+            nonzero = range(1, p)
+            if h:
+                root = root or _primitive_root(p)
+                nonzero = [pow(root, s, p) for s in range(d)]
+                step = [pow(root, e, p) for e in h]
+            for value in nonzero:
+                const = {(): value}
+                first = len(solutions)
+                branch([poly_substitute(f, v, const, p) for f in eqs], fixed + [(v, const)], kernel)
+                if h:  # h, h^2, ... map them onto the rest of the coset of value
+                    found = solutions[first:]
+                    for _ in range(order // d - 1):
+                        found = [tuple(a * b % p for a, b in zip(x, step)) for x in found]
+                        solutions.extend(found)
             return
         done = {v for v, _ in fixed}
         free = [x for x in range(n) if x not in done]
@@ -534,5 +607,5 @@ def solve_polynomial_system(p: int, n: int, equations) -> list[Vector]:
                 values[v] = _poly_value(expr, values, p)
             solutions.append(tuple(values[x] for x in range(n)))
 
-    branch(list(equations), [])
+    branch(list(equations), [], None)
     return sorted(solutions)

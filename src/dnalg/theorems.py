@@ -15,7 +15,7 @@ solver returns the tables in lexicographic order of their coefficients.
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, sub
 
 from .fp import (
     ChainRep,
@@ -516,6 +516,20 @@ def _symbolic_entries(a: AlgebraPresentation, blocks) -> dict[tuple[int, int], d
     return entries
 
 
+def _unknown_grading(blocks, l: int) -> list[tuple[int, ...]]:
+    """The Z^l degree of each variable of ``blocks`` (see
+    ``_symbolic_entries``): scaling each generator y_j by c_j in F_p^*
+    scales the coefficient of y^e in P^k y_i by c^e / c_i, so that
+    coefficient has degree e - unit_i.  The forced entries have degree 0
+    modulo p - 1, so every equation of ``_adem_equations`` and
+    ``_truncation_equations`` is homogeneous modulo p - 1."""
+    grading = []
+    for i, _, basis in blocks:
+        unit = tuple(int(j == i) for j in range(l))
+        grading.extend(tuple(map(sub, e, unit)) for e in basis)
+    return grading
+
+
 def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
     """The coefficients of LHS - RHS of every instance (P^a, P^b, monomial),
     as polynomials in the variables of ``entries`` (see ``_symbolic_entries``).
@@ -612,6 +626,22 @@ def _truncation_equations(a: AlgebraPresentation, entries) -> list[Poly]:
     return equations
 
 
+def _derive_equations(a: AlgebraPresentation, blocks) -> list[Poly]:
+    """The system ``derive_actions`` solves on the generator-only
+    presentation ``a``: every in-range Adem instance on the generator of its
+    degree, then the truncation equations."""
+    degrees = a.degrees
+    units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
+    instances = [
+        (ae, be, units[i])
+        for ae, be, d in adem_instances(a.p, tuple(sorted(set(degrees))), a.top_degree)
+        for i, e in enumerate(degrees)
+        if e == d
+    ]
+    entries = _symbolic_entries(a, blocks)
+    return _adem_equations(a, entries, instances) + _truncation_equations(a, entries)
+
+
 def derive_actions(
     p: int, half_degrees: list[int], max_unknowns: int = 12
 ) -> list[AlgebraPresentation]:
@@ -627,7 +657,10 @@ def derive_actions(
     P(y_i) = sum_k P^k y_i is the total power (``_truncation_equations``).
     By the proposition in ``validate_action``'s docstring, the solutions are
     exactly the tables that ``validate_action`` accepts.  The solver
-    eliminates what is linear and branches on what stays nonlinear.
+    eliminates what is linear and branches on what stays nonlinear.  The
+    equations are homogeneous modulo p - 1 for the grading of the unknowns
+    by generator scalings (``_unknown_grading``), so the solver branches once
+    per scaling orbit and returns the full sorted solution list.
     ``max_unknowns`` bounds the variable count before any elimination.
     Each table is built on the generator-only probe with
     ``AlgebraPresentation.with_action``."""
@@ -659,12 +692,6 @@ def derive_actions(
             for i, k, basis in blocks
         })
 
-    instances = [
-        (ae, be, tuple(int(j == i) for j in range(len(ms))))
-        for ae, be, d in adem_instances(p, tuple(sorted(set(probe.degrees))), probe.top_degree)
-        for i, m in enumerate(ms)
-        if 2 * m == d
-    ]
-    entries = _symbolic_entries(probe, blocks)
-    equations = _adem_equations(probe, entries, instances) + _truncation_equations(probe, entries)
-    return [table(v) for v in solve_polynomial_system(p, total_unknowns, equations)]
+    equations = _derive_equations(probe, blocks)
+    grading = _unknown_grading(blocks, len(ms))
+    return [table(v) for v in solve_polynomial_system(p, total_unknowns, equations, grading)]

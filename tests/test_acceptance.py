@@ -133,8 +133,11 @@ def test_criterion_4_max_order_table():
 def test_criterion_5_linked_two_generator_model():
     # The stated model: p=3, half-degrees (2, 4), an exhaustive-solver table
     # whose first reduced power sends the small generator to the large one.
-    # No Adem-consistent table of that shape exists (see the decisions
-    # ledger for the three-line argument), so this criterion cannot pass.
+    # No Adem-consistent table of that shape exists, so this criterion
+    # cannot pass: `python -m dnalg.cli derive --p 3 --halfdegs 2,4` lists
+    # no table, and neither does the per-monomial system of
+    # tests/conftest.py::oracle_derived(3, (2, 4)), which imposes no
+    # truncation equation (pinned in test_derive_infeasible_configurations_are_empty).
     t0 = time.time()
     solutions = derive_actions(3, [2, 4], max_unknowns=12)
     linked = [s for s in solutions if s.action_entry(0, 1).coefficient((0, 1))]
@@ -159,7 +162,9 @@ def test_criterion_5_linked_two_generator_model():
     assert linked, (
         "no Adem-consistent action table on T^[4] generators of degrees 4 and 8 "
         "links them through P^1: the relations P^1 P^3 = P^4 and P^2 P^3 = P^5 "
-        "are incompatible under the height-4 truncation (decisions ledger)"
+        "are incompatible under the height-4 truncation (derive --p 3 --halfdegs 2,4 "
+        "lists no table, nor does tests/conftest.py::oracle_derived(3, (2, 4)), "
+        "which imposes no truncation equation)"
     )
 
 

@@ -359,3 +359,62 @@ def test_polynomial_system_edge_cases():
     assert solve_polynomial_system(3, 2, [{(): 2}, {(0,): 1}]) == []
     twice = [{(0, 0): 1, (): 2}, {(0, 0): 2, (): 1}, {}]
     assert solve_polynomial_system(3, 1, twice) == [(1,), (2,)]
+
+
+def random_graded_system(rng, p, n):
+    """A random Z^l grading of n variables (about a third of them with
+    degrees that are multiples of p - 1, whose characters are trivial) and
+    a random system homogeneous for it modulo p - 1.  Some systems get an
+    equation x^(p-1) + c, which has no solution unless c = p - 1."""
+    l = rng.randrange(1, 4)
+    grading = [
+        tuple((p - 1) * rng.randrange(-1, 2) for _ in range(l)) if rng.random() < 0.3
+        else tuple(rng.randrange(-p, p) for _ in range(l))
+        for _ in range(n)
+    ]
+
+    def degree(m):
+        return tuple(sum(grading[x][j] for x in m) % (p - 1) for j in range(l))
+
+    def monomial():
+        return tuple(sorted(rng.randrange(n) for _ in range(rng.randrange(4))))
+
+    equations = []
+    for _ in range(rng.randrange(1, n + 2)):
+        lead = monomial()
+        f = {lead: rng.randrange(1, p)}
+        for _ in range(12):
+            m = monomial()
+            if degree(m) == degree(lead):
+                f[m] = f.get(m, 0) + rng.randrange(1, p)
+        equations.append(poly_reduce(f, p))
+    if rng.random() < 0.25:
+        equations.append({(rng.randrange(n),) * (p - 1): 1, (): rng.randrange(1, p)})
+    return grading, equations
+
+
+@pytest.mark.parametrize("p,max_n", [(3, 6), (5, 5), (7, 4)])
+def test_graded_polynomial_system_matches_brute_force(p, max_n):
+    # With a grading the solver tries one nonzero value per coset at a
+    # branch and maps the solutions found onto the rest of each coset by a
+    # scaling; the result must be the ungraded solver's, which is every
+    # point of F_p^n at which all equations vanish, in lexicographic order.
+    rng = random.Random(79 + p)
+    empty = trivial = 0
+    for trial in range(40):
+        n = rng.randrange(1, max_n + 1)
+        grading, equations = random_graded_system(rng, p, n)
+        want = [
+            point for point in itertools.product(range(p), repeat=n)
+            if all(poly_value(f, point, p) == 0 for f in equations)
+        ]
+        assert solve_polynomial_system(p, n, equations) == want, (trial, grading, equations)
+        assert solve_polynomial_system(p, n, equations, grading) == want, (trial, grading, equations)
+        empty += not want
+        trivial += any(all(x % (p - 1) == 0 for x in w) for w in grading)
+    assert 0 < empty < 40 and trivial > 0
+
+
+def test_graded_polynomial_system_rejects_a_grading_of_another_length():
+    with pytest.raises(ValueError):
+        solve_polynomial_system(3, 2, [{(0,): 1}], [(1,)])

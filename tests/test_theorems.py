@@ -9,7 +9,7 @@ import pytest
 from dnalg import theorems
 from dnalg.cli import render_presentation
 from dnalg.dn import check_dn, max_dn
-from dnalg.fp import _poly_value, solve
+from dnalg.fp import _poly_value, solve, solve_polynomial_system
 from dnalg.steenrod import SteenrodElement
 from dnalg.theorems import (
     DeriveBoundExceeded,
@@ -668,8 +668,10 @@ def test_truncation_equations_vanish_exactly_on_stable_tables():
 def test_derive_infeasible_configurations_are_empty():
     # no consistent table exists when a generator needs m=3 at p=5
     assert derived(5, (3,)) == ()
-    # nor on the linked pair at p=3 (the truncation forbids it)
+    # nor on the pair of criterion 5 at p=3, even without the truncation
+    # equations: the per-monomial system alone has no solution
     assert derived(3, (2, 4)) == ()
+    assert oracle_derived(3, (2, 4)) == ()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -720,6 +722,38 @@ def test_adem_equations_match_the_reference_kernel():
             assert [list(f.items()) for f in got] == [list(f.items()) for f in want], (p, ms)
             compared += len(want)
     assert compared == 1625
+
+
+def test_derive_equations_are_homogeneous_for_the_unknown_grading():
+    # The solver may branch once per scaling orbit only if every equation
+    # derive solves is homogeneous modulo p - 1 for the grading it passes.
+    # (5,(2,5)) is a pool shape.
+    shapes = POOL_TUPLES + [(3, (2, 4)), (3, (3, 6)), (7, (1, 1, 2))]
+    checked = several = 0
+    for p, ms in shapes:
+        probe, blocks = free_entries(p, ms)
+        grading = theorems._unknown_grading(blocks, probe.l)
+        for f in theorems._derive_equations(probe, blocks):
+            degrees = {
+                tuple(sum(grading[x][j] for x in m) % (p - 1) for j in range(probe.l))
+                for m in f
+            }
+            assert len(degrees) <= 1, (p, ms, f)
+            checked += 1
+            several += len(f) > 1
+    assert (checked, several) == (205, 164)
+
+
+@pytest.mark.parametrize("p,ms,count", [(5, (2, 2), 24), (7, (2, 2), 40)])
+def test_derive_matches_the_ungraded_solver(p, ms, count):
+    # The graded solve finds one solution per scaling orbit at each branch
+    # and maps it onto the others; it must give the coefficient vectors the
+    # ungraded solve lists, in the same order.
+    probe, blocks = free_entries(p, ms)
+    unknowns = sum(len(basis) for *_, basis in blocks)
+    want = solve_polynomial_system(p, unknowns, theorems._derive_equations(probe, blocks))
+    assert len(want) == count
+    assert [entry_vector(a, blocks) for a in derive_actions(p, list(ms))] == want
 
 
 def test_derived_tables_equal_their_public_rebuild():
@@ -814,11 +848,18 @@ def test_derive_reproduces_tables_beyond_the_default_bound():
      "09390ffefd19611423315082ce87e2fd4bd88550ea7ad1526b5e0e88e4474699"),
     (3, (2, 4, 6), 34, 0,
      "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (5, (2, 2, 2), 30, 544,
+     "30694d375c1862efa2793d2898b0534ad7c6be73edd40aac1ffecbdf184f59d8"),
+    (7, (1, 1, 2), 23, 62,
+     "580ddb1d1d6f13bdaed2b9cc5940139b67878ada29eab8e0d00921f47f5a9585"),
 ])
 def test_derive_pins_shapes_with_many_unknowns(p, ms, max_unknowns, count, digest):
-    # Same digest form as derive_tables.json.  The digests were generated
-    # by the per-monomial system (the conftest oracle) as well, which takes
-    # seconds on these shapes; (3,(2,4,6)) has no table.
+    # Same digest form as derive_tables.json.  The digests of the first two
+    # were generated by the per-monomial system (the conftest oracle) as
+    # well, which takes seconds on these shapes; (3,(2,4,6)) has no table.
+    # Those of (5,(2,2,2)) and (7,(1,1,2)) were generated by the same
+    # equations solved without the grading, which branches on every value
+    # and takes about 1.5 s and 2-3 s there.
     with pytest.raises(DeriveBoundExceeded):
         derive_actions(p, list(ms), max_unknowns=max_unknowns - 1)
     tables = derive_actions(p, list(ms), max_unknowns=max_unknowns)
