@@ -348,19 +348,18 @@ def _build_slots(a, d, config, incomplete):
     """Candidate (source degree, operation) slots for one target degree,
     deduplicated by the projective class of the induced matrix.  Operation
     degrees whose combinations were cut at the bound go into ``incomplete``."""
-    p = a.p
-    basis_d = a.basis_of_degree(d)
+    p, buckets = a.p, a._degree_buckets()
+    basis_d = buckets[d]
     dim = len(basis_d)
     order = sorted(range(dim), key=lambda r: sum(basis_d[r]))
     slots: list[_Slot] = []
     seen_matrices: set = set()
-    for e in range(2, d + 1, 2):
-        basis_e = a.basis_of_degree(e)
+    step = 2 * (p - 1)  # Bockstein-free operations live in degrees 2k(p-1)
+    for e in range(d % step or step, d, step):
+        basis_e = buckets.get(e)
         if not basis_e:
             continue
         q = d - e
-        if q <= 0 or q % (2 * (p - 1)):
-            continue  # Bockstein-free operations live in degrees 2k(p-1)
         words = [
             w for w in steenrod_basis(p, q, top=a.top_degree)
             if not any(w.eps)
@@ -474,9 +473,7 @@ def _sweep(a: AlgebraPresentation, config: DnSearchConfig, lo: int, hi: int) -> 
     best = hi
     swept = []  # (degree, shortest decomposable length, result, incomplete)
     violation: DnVerdict | None = None
-    for d in range(2, a.top_degree + 1, 2):
-        if not a.dim(d):
-            continue
+    for d in a.nonzero_degrees()[1:]:  # degree 0 holds the unit alone
         counts = a.word_length_counts(d)
         shortest = next((t for t in range(2, len(counts)) if counts[t]), math.inf)
         if shortest > best:  # trivial at every order still in play

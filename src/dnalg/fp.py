@@ -98,10 +98,6 @@ class FpMatrix:
             raise ValueError("cols does not match row width")
         return cls(p, reduced, width)
 
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls.from_rows(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -122,19 +118,6 @@ class FpMatrix:
             raise ValueError(f"vector of length {len(v)} for {self.rows}x{self.cols} matrix")
         p = self.modulus
         return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.entries)
-
-    def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        if self.modulus != other.modulus:
-            raise ValueError("modulus mismatch")
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        p = self.modulus
-        cols = [other.column(j) for j in range(other.cols)]
-        rows = [
-            [sum(a * b for a, b in zip(row, col)) % p for col in cols]
-            for row in self.entries
-        ]
-        return FpMatrix.from_rows(p, rows, other.cols)
 
     def rref(self) -> tuple["FpMatrix", tuple[int, ...]]:
         rows, pivots = _rref([list(r) for r in self.entries], self.modulus)
@@ -524,9 +507,10 @@ def solve_polynomial_system(p: int, n: int, equations, grading=None) -> list[Vec
     constant; eliminate one variable of each equation of total degree 1 by
     affine substitution.  When no linear equation is left, the branch
     splits over the p values of the variable that occurs in the most
-    equations.  When no equation is left, the variables neither eliminated
-    nor fixed run freely, and the eliminated ones are read back in reverse
-    order of elimination.
+    equations, among those whose character (below) is nontrivial on the
+    branch's subgroup G when there are any.  When no equation is left, the
+    variables neither eliminated nor fixed run freely, and the eliminated
+    ones are read back in reverse order of elimination.
 
     ``grading``, when given, holds one Z^l degree w_v per variable, and the
     caller guarantees that every equation is homogeneous for it modulo
@@ -578,10 +562,11 @@ def solve_polynomial_system(p: int, n: int, equations, grading=None) -> list[Vec
             for f in eqs:
                 for x in {x for m in f for x in m}:
                     counts[x] = counts.get(x, 0) + 1
-            v = max(counts, key=lambda x: (counts[x], -x))
             if group is None:  # the whole torus, one generator per grading direction
                 columns = (tuple(x % order for x in c) for c in zip(*grading or ()))
                 group = [c for c in columns if any(c)]
+            # A variable that G moves splits the branch into cosets.
+            v = max(counts, key=lambda x: (any(h[x] for h in group), counts[x], -x))
             branch([poly_substitute(f, v, {}, p) for f in eqs], fixed + [(v, {})], group)
             d, h, kernel = _split_torus(group, v, order)
             nonzero = range(1, p)

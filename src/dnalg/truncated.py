@@ -10,7 +10,9 @@ an action, on the generators alone: the unstable conditions, the
 truncation (each total power P(y_i) has P(y_i)^{p+1} = 0, since P is a ring
 map and y_i^{p+1} = 0), and every Adem relation instance that lands inside
 the degree range.  Together these imply every instance on every monomial
-(see its docstring).
+(see its docstring).  The constructor cleans the table once (coefficients
+mod p, no zero term, no monomial beyond the truncation), so the unstable and
+truncation checks read the stored entries and build no element.
 
 Presentations are immutable after construction (caches are internal and
 value-transparent); all operations are pure.  ``with_action`` builds a table
@@ -21,7 +23,8 @@ never mutated once built (``basis_of_degree`` hands out copies).
 The public ``AlgebraElement`` constructor and ``element`` check every term:
 its arity and signs, and they drop monomials beyond the truncation and
 reduce coefficients mod p.  The builder ``_element`` skips that where the
-terms are clean by construction: ``gen``, ``one`` and ``zero``; ``act``,
+terms are clean by construction: ``gen``, ``one`` and ``zero``;
+``action_entry``, whose entries the constructor cleaned; ``act``,
 ``act_power`` and ``act_word``, whose kernels reduce mod p and never leave
 the truncation; products, once their zero coefficients are dropped; sums
 and scalings, once reduced mod p.  The tests rebuild every such element
@@ -205,7 +208,7 @@ class AlgebraPresentation:
         self._action: dict[tuple[int, int], dict[Exponents, int]] = {}
         self.autofilled: tuple[tuple[str, int], ...] = ()
         self._basis_buckets: dict[int, list[Exponents]] | None = None
-        self._length_counts: dict[int, tuple[int, ...]] = {}
+        self._length_counts: dict[int, tuple[int, ...]] | None = None
         # degree d -> {monomial: its row in the coordinates of degree d}
         self._basis_index: dict[int, dict[Exponents, int]] = {}
         # power index k -> {monomial: P^k(monomial)}; see the module docstring
@@ -240,6 +243,7 @@ class AlgebraPresentation:
                         f"P^{k} {self.names[i]} entry has degree "
                         f"{self.monomial_degree(exps)}, expected {want}"
                     )
+            self._action[(i, k)] = {e: c % p for e, c in poly.items() if c % p and max(e) <= p}
 
     def with_action(
         self, action: dict[tuple[int, int], dict[Exponents, int]]
@@ -267,7 +271,7 @@ class AlgebraPresentation:
             a._action[(i, m)] = {tuple(p if j == i else 0 for j in range(l)): 1}
         a.autofilled = tuple(zip(self.names, self.half_degrees))
         a._basis_buckets, a._basis_index = self._degree_buckets(), self._basis_index
-        a._length_counts, a._power_memo = {}, {}
+        a._length_counts, a._power_memo = None, {}
         return a
 
     # -- structure ----------------------------------------------------------
@@ -318,15 +322,14 @@ class AlgebraPresentation:
     def word_length_counts(self, d: int) -> tuple[int, ...]:
         """Entry t counts the degree-d monomials that are products of
         exactly t generators, so the entries from t on sum to
-        ``filtration(self, t, d).dim``.  Computed once per degree."""
-        counts = self._length_counts.get(d)
-        if counts is None:
-            lengths = [sum(m) for m in self._degree_buckets().get(d, ())]
-            table = [0] * (max(lengths, default=-1) + 1)
-            for t in lengths:
-                table[t] += 1
-            counts = self._length_counts[d] = tuple(table)
-        return counts
+        ``filtration(self, t, d).dim``.  Every degree is counted in one pass
+        over the buckets, the first time any is asked."""
+        if self._length_counts is None:
+            self._length_counts = {}
+            for e, bucket in self._degree_buckets().items():
+                lengths = list(map(sum, bucket))
+                self._length_counts[e] = tuple(map(lengths.count, range(max(lengths) + 1)))
+        return self._length_counts.get(d, ())
 
     # -- elements ------------------------------------------------------------
 
@@ -387,7 +390,7 @@ class AlgebraPresentation:
         """P^k on generator i as stored/derived (k=0 identity, k>m_i zero)."""
         if k == 0:
             return self.gen(i)
-        return self.element(dict(self._action.get((i, k), {})))
+        return _element(self, dict(self._action.get((i, k), {})))
 
     def stored_entries(self) -> list[tuple[int, int]]:
         return sorted(self._action)
@@ -603,13 +606,21 @@ def adem_instance_holds(
 
 def preserves_truncation(a: AlgebraPresentation, images) -> bool:
     """Whether x^{p+1} = 0 in T for every x in ``images``, so that y_i -> x_i
-    respects the relations y_i^{p+1} = 0.  By Frobenius x^p = sum c * mono^p,
-    where only square-free monomials survive, and x^{p+1} = x^p * x."""
-    for x in images:
-        frob = {tuple(a.p * e for e in m): c for m, c in x.terms.items() if max(m, default=0) <= 1}
-        if not (a.element(frob) * x).is_zero():
-            return False
-    return True
+    respects the relations y_i^{p+1} = 0."""
+    return all(_truncation_holds(a.p, x.terms) for x in images)
+
+
+def _truncation_holds(p: int, terms: dict[Exponents, int]) -> bool:
+    """Whether x^{p+1} = x^p * x = 0 for the x with these clean terms, where
+    by Frobenius x^p = sum c * mono^p over the square-free monomials."""
+    out: dict[Exponents, int] = {}
+    for m, c1 in terms.items():
+        if max(m, default=0) <= 1:
+            for e2, c2 in terms.items():
+                e = tuple(p * x + y for x, y in zip(m, e2))
+                if max(e, default=0) <= p:
+                    out[e] = out.get(e, 0) + c1 * c2
+    return not any(v % p for v in out.values())
 
 
 def _adem_sweep(a: AlgebraPresentation, instances, by_degree: dict) -> list[AdemFailure]:
@@ -680,22 +691,24 @@ def validate_action(a: AlgebraPresentation) -> ActionValidation:
     counted in closed form (``adem_instance_count``), not enumerated, and
     is the same figure; only the instances on generator degrees are listed.
     """
-    p = a.p
+    p, action = a.p, a._action
     unstable: list[str] = []
-    totals = []
+    truncation: list[str] = []
+    above = sorted(key for key in action if key[1] > a.half_degrees[key[0]])
     for i, m in enumerate(a.half_degrees):
         name, unit = a.names[i], tuple(int(j == i) for j in range(a.l))
-        if a.action_entry(i, m).terms != {tuple(p * e for e in unit): 1}:
+        if action[(i, m)] != {tuple(p * e for e in unit): 1}:
             unstable.append(f"P^{m} {name} != {name}^{p}")
-        for j, k in a.stored_entries():
-            if j == i and k > m and not a.action_entry(i, k).is_zero():
+        for j, k in above:
+            if j == i and action[(j, k)]:
                 unstable.append(f"P^{k} {name} must vanish (k > {m})")
-        totals.append(sum((a.action_entry(i, k) for k in range(1, m + 1)), a.gen(i)))
-    unstable += [
-        f"P({name})^{p + 1} != 0"
-        for name, x in zip(a.names, totals)
-        if not preserves_truncation(a, [x])
-    ]
+        # The entries of P(y_i) lie in distinct degrees, so their terms are disjoint.
+        total = {unit: 1}
+        for k in range(1, m + 1):
+            total.update(action.get((i, k), {}))
+        if not _truncation_holds(p, total):
+            truncation.append(f"P({name})^{p + 1} != 0")
+    unstable += truncation
 
     buckets, top = a._degree_buckets(), a.top_degree
     degrees = tuple(sorted(set(a.degrees)))

@@ -15,6 +15,22 @@ def zeros(p: int, rows: int, cols: int) -> FpMatrix:
     return FpMatrix.from_rows(p, [[0] * cols for _ in range(rows)], cols)
 
 
+def identity(p: int, n: int) -> FpMatrix:
+    return FpMatrix.from_rows(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+
+
+def matmul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
+    """The product a b."""
+    if a.modulus != b.modulus:
+        raise ValueError("modulus mismatch")
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    p = a.modulus
+    cols = [b.column(j) for j in range(b.cols)]
+    rows = [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a.entries]
+    return FpMatrix.from_rows(p, rows, b.cols)
+
+
 def includes(u: Subspace, v: Subspace) -> bool:
     """Whether v lies in u."""
     return all(u.contains(w) for w in v.basis)
@@ -26,9 +42,9 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
 
 def composite(chain: ChainRep, start: int, end: int) -> FpMatrix:
     """The composite map of a chain from node ``start`` to node ``end``."""
-    m = FpMatrix.identity(chain.modulus, chain.dims[start])
+    m = identity(chain.modulus, chain.dims[start])
     for i in range(start, end):
-        m = chain.maps[i].matmul(m)
+        m = matmul(chain.maps[i], m)
     return m
 
 

@@ -35,6 +35,7 @@ from dnalg.theorems import (
 from dnalg.truncated import filtration, induced_q_map, validate_action
 
 from conftest import derived, model_pool, random_table
+from fp_oracles import matmul
 
 
 def _line(num, ok, detail):
@@ -202,8 +203,8 @@ def test_criterion_7_normalization():
                 e = d
                 for _ in range(steps - 1):
                     e += 2 * (a.p - 1)
-                    mo = induced_q_map(a, p1, e).matmul(mo)
-                    mn = induced_q_map(b, p1, e).matmul(mn)
+                    mo = matmul(induced_q_map(a, p1, e), mo)
+                    mn = matmul(induced_q_map(b, p1, e), mn)
                 ok &= mo.rank() == mn.rank()
     elapsed = time.time() - t0
     _line(7, ok, f"100 random tables normalized, dims and ranks preserved ({elapsed:.1f}s)")

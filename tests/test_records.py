@@ -20,6 +20,8 @@ from dnalg.theorems import (
 )
 from dnalg.truncated import ActionValidation, AdemFailure, AlgebraPresentation, QSpace
 
+from fp_oracles import identity
+
 A = AlgebraPresentation(3, [("y", 1)])
 P1 = SteenrodElement.power(3, 1)
 PLANE = Subspace(3, 1, ((1,),))
@@ -35,8 +37,8 @@ PARTITION = OrderedPartition(3, ((1, 3), (2,)))
 RECORDS = [
     (FpMatrix, dict(modulus=3, entries=((1, 0), (0, 1)), cols=2)),
     (Subspace, dict(modulus=3, ambient_dim=2, basis=((1, 0),))),
-    (ChainRep, dict(modulus=3, dims=(2, 2), maps=(FpMatrix.identity(3, 2),))),
-    (IntervalForm, dict(bases=(FpMatrix.identity(3, 2),), maps=(), intervals=((0, 0),))),
+    (ChainRep, dict(modulus=3, dims=(2, 2), maps=(identity(3, 2),))),
+    (IntervalForm, dict(bases=(identity(3, 2),), maps=(), intervals=((0, 0),))),
     (DnSearchConfig, dict(max_support=1, theta_dim_bound=0)),
     (DnInstance, dict(presentation=A, pairs=((P1, A.gen(0)),), n=1)),
     (DnVerdict, dict(status="satisfied-with-witness", instance=INSTANCE,

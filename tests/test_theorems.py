@@ -49,6 +49,7 @@ from conftest import (
     stable,
     table_of,
 )
+from fp_oracles import matmul
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +159,8 @@ def test_normalize_preserves_composite_q_ranks():
                 e = d
                 for _ in range(steps - 1):
                     e += 2 * (a.p - 1)
-                    mo = induced_q_map(a, p1, e).matmul(mo)
-                    mn = induced_q_map(b, p1, e).matmul(mn)
+                    mo = matmul(induced_q_map(a, p1, e), mo)
+                    mn = matmul(induced_q_map(b, p1, e), mn)
                 assert mo.rank() == mn.rank()
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from dnalg import truncated
-from dnalg.fp import FpMatrix, Subspace
+from dnalg.fp import Subspace
 from dnalg.steenrod import (
     SteenrodElement,
     SteenrodMonomial,
@@ -40,6 +40,7 @@ from conftest import (
     s3_model,
     total_powers,
 )
+from fp_oracles import identity
 
 
 def single_gen(p, m, lam):
@@ -299,9 +300,8 @@ def test_adem_instance_helper_matches_validate():
     assert AdemFailure(1, 1, (1,), 4) in validate_action(bad).adem_failures
 
 
-def reference_validate(a):
-    """``validate_action`` as a plain loop: the unstable checks, then
-    ``adem_instance_holds`` on every instance times every basis monomial."""
+def reference_unstable(a):
+    """The unstable messages of ``validate_action``, from elements."""
     p = a.p
     unstable = []
     for i, m in enumerate(a.half_degrees):
@@ -311,6 +311,24 @@ def reference_validate(a):
         for j, k in a.stored_entries():
             if j == i and k > m and not a.action_entry(i, k).is_zero():
                 unstable.append(f"P^{k} {name} must vanish (k > {m})")
+    return tuple(unstable)
+
+
+def reference_truncation(a):
+    """The truncation messages of ``validate_action``, from elements:
+    P(y_i)^{p+1} as a power."""
+    return tuple(
+        f"P({name})^{a.p + 1} != 0"
+        for name, x in zip(a.names, total_powers(a))
+        if not (x ** (a.p + 1)).is_zero()
+    )
+
+
+def reference_validate(a):
+    """``validate_action`` as a plain loop: the unstable checks, then
+    ``adem_instance_holds`` on every instance times every basis monomial."""
+    p = a.p
+    unstable = reference_unstable(a)
     failures = []
     checked = 0
     degrees = tuple(a.nonzero_degrees())
@@ -321,7 +339,7 @@ def reference_validate(a):
                 failures.append(AdemFailure(a_exp, b_exp, exps, d))
     return ActionValidation(
         ok=not unstable and not failures,
-        unstable_failures=tuple(unstable),
+        unstable_failures=unstable,
         adem_failures=tuple(failures),
         instances_checked=checked,
     )
@@ -378,6 +396,83 @@ def test_validate_matches_reference_loop(pool):
         failures += len(got.adem_failures)
         rejected += bool(truncation)
     assert (failures, rejected) == (1664, 214)
+
+
+def raw_table(a):
+    """The stored entries of ``a`` as constructor input, keyed by name."""
+    return {(a.names[i], k): dict(a.action_entry(i, k).terms) for i, k in a.stored_entries()}
+
+
+def crafted_tables():
+    """Tables whose stored input is not clean, each with the clean input it
+    must agree with (None where the input is already clean)."""
+    out = []
+    # A coefficient >= p, and one that is 0 mod p.
+    for c in (4, 3):
+        clean = {("y4", 1): {(2,): c % 3}}
+        out.append((3, [("y4", 2)], {("y4", 1): {(2,): c}}, clean))
+    # A stored term beyond the truncation, of the entry's degree: y2^4 in
+    # P^1 y4 at p = 3, on every derived (3, (1, 2)) table.
+    for a in derived(3, (1, 2)):
+        raw = raw_table(a)
+        clean = {key: dict(poly) for key, poly in raw.items()}
+        raw[("y4", 1)] = {**raw.get(("y4", 1), {}), (4, 0): 1}
+        out.append((3, list(zip(a.names, a.half_degrees)), raw, clean))
+    # Entries above m_i: nonzero, zero mod p, and beyond the truncation only.
+    gens = [("y4", 2), ("y8", 4)]
+    for poly in ({(0, 2): 1}, {(0, 2): 2, (4, 0): 1}, {(0, 2): 3}, {(4, 0): 1}):
+        clean = {e: c % 3 for e, c in poly.items() if max(e) <= 3 and c % 3}
+        out.append((3, gens, {("y4", 3): poly}, {("y4", 3): clean}))
+    # A wrong top entry, also written with a coefficient >= p.
+    out.append((3, [("y", 2)], {("y", 2): {(3,): 2}}, None))
+    out.append((3, [("y", 2)], {("y", 2): {(3,): 5}}, {("y", 2): {(3,): 2}}))
+    out.append((5, [("y", 1), ("z", 2)], {("z", 2): {(0, 5): 1, (2, 4): 1}}, None))
+    # A table that breaks the truncation, written with every coefficient
+    # raised by p.
+    a = next(a for a in oracle_derived(3, (1, 1, 2)) if reference_truncation(a))
+    raw = raw_table(a)
+    raised = {key: {e: c + 3 for e, c in poly.items()} for key, poly in raw.items()}
+    out.append((3, list(zip(a.names, a.half_degrees)), raised, raw))
+    return out
+
+
+def test_stored_table_is_cleaned_once():
+    """The constructor reduces the table mod p and drops zero terms and
+    monomials beyond the truncation: each entry equals its input rebuilt
+    through the public constructor, and the presentation validates as the
+    clean input does."""
+    for p, gens, raw, clean in crafted_tables():
+        a = AlgebraPresentation(p, gens, raw)
+        for (name, k), poly in raw.items():
+            i = a.names.index(name)
+            assert a.action_entry(i, k) == a.element(poly)
+            assert list(a.action_entry(i, k).terms.items()) == list(a.element(poly).terms.items())
+        if clean is not None:
+            assert validate_action(a) == validate_action(AlgebraPresentation(p, gens, clean))
+
+
+def test_unstable_failures_match_the_element_checks(pool):
+    """``validate_action`` reads the stored table; its unstable failures
+    are the element-based unstable and truncation checks, in that order."""
+    assert len(pool) == 88
+    crafted = [AlgebraPresentation(p, gens, raw) for p, gens, raw, _ in crafted_tables()]
+    # 16 tables of the per-monomial system on (3, (1, 1, 2)) break the
+    # truncation, and so do many tables with every entry drawn at random.
+    rng = random.Random(911)
+    models = list(pool) + crafted + list(oracle_derived(3, (1, 1, 2)))
+    models += [perturbed(rng, a) for a in pool]
+    messages = []
+    for a in models:
+        want = reference_unstable(a) + reference_truncation(a)
+        assert validate_action(a).unstable_failures == want, a
+        assert truncation_messages(a) == reference_truncation(a)
+        messages.append(want)
+    assert not any(messages[:len(pool)])
+    assert {m for want in messages[len(pool):len(pool) + len(crafted)] for m in want} == {
+        "P^2 y != y^3", "P^3 y4 must vanish (k > 2)", "P^2 z != z^5", "P(y4_2)^4 != 0",
+    }
+    truncation = sum(m.startswith("P(") for want in messages for m in want)
+    assert (sum(map(len, messages)), truncation) == (226, 66)
 
 
 def test_validate_sweeps_once_on_the_generators(pool, monkeypatch):
@@ -556,6 +651,17 @@ def test_word_length_counts_match_filtration(pool):
                 assert sum(counts[t:]) == filtration(a, t, d).dim
 
 
+def test_word_length_counts_match_a_per_degree_count(pool):
+    """The counts made in one pass over the buckets are those of each
+    degree's own basis, and empty where the degree has no monomial."""
+    for a in pool:
+        for d in range(a.top_degree + 3):
+            lengths = [sum(m) for m in a.basis_of_degree(d)]
+            want = tuple(lengths.count(t) for t in range(max(lengths, default=-1) + 1))
+            assert a.word_length_counts(d) == want
+            assert sum(want) == a.dim(d)
+
+
 def test_deep_filtration_vanishes_single_generator():
     for p, m in [(3, 2), (5, 2), (5, 4)]:
         a = s3_model(p, m)
@@ -610,7 +716,7 @@ def test_induced_q_map_examples():
     m = induced_q_map(a, p1, 4)
     assert m.entries == ((1,),)             # P^1 y4 = y8 on indecomposables
     unit = SteenrodElement.unit(3)
-    assert induced_q_map(a, unit, 4) == FpMatrix.identity(3, 1)
+    assert induced_q_map(a, unit, 4) == identity(3, 1)
     b = s3_model(3, 2)
     z = induced_q_map(b, p1, 4)             # target Q^8 = 0
     assert z.rows == 0 and z.cols == 1
