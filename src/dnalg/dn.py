@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .fp import FpMatrix, Subspace, solve, sum_and_intersection
+from .fp import FpMatrix, Record, Subspace, solve, sum_and_intersection
 from .steenrod import (
     SteenrodElement,
     basis_of_degree as steenrod_basis,
@@ -61,7 +61,7 @@ from .truncated import (
 Exponents = tuple[int, ...]
 
 
-class DnSearchConfig:
+class DnSearchConfig(Record):
     def __init__(self, max_support: int = 2, theta_dim_bound: int = 3):
         # A support bound below 1 leaves no case to check, so every order
         # would pass.
@@ -72,15 +72,8 @@ class DnSearchConfig:
         self.max_support = max_support
         self.theta_dim_bound = theta_dim_bound
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_support, self.theta_dim_bound) == (
-            other.max_support, other.theta_dim_bound
-        )
-
-    def __hash__(self):
-        return hash((self.max_support, self.theta_dim_bound))
+    def _key(self):
+        return self.max_support, self.theta_dim_bound
 
 
 class DnInstance:
@@ -225,7 +218,7 @@ class _Slot:
         self.corrections = corrections
 
 
-class DegreeResult:
+class DegreeResult(Record):
     def __init__(
         self,
         degree: int,
@@ -242,22 +235,9 @@ class DegreeResult:
         self.trivial = trivial
         self.cases_by_support_size = cases_by_support_size
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.degree, self.slots, self.cases, self.ok, self.trivial,
-            self.cases_by_support_size,
-        ) == (
-            other.degree, other.slots, other.cases, other.ok, other.trivial,
-            other.cases_by_support_size,
-        )
-
-    def __hash__(self):
-        return hash((
-            self.degree, self.slots, self.cases, self.ok, self.trivial,
-            self.cases_by_support_size,
-        ))
+    def _key(self):
+        return (self.degree, self.slots, self.cases, self.ok, self.trivial,
+                self.cases_by_support_size)
 
     def to_dict(self) -> dict:
         return {
@@ -272,7 +252,7 @@ class DegreeResult:
         }
 
 
-class DnReport:
+class DnReport(Record):
     def __init__(
         self,
         presentation: AlgebraPresentation,
@@ -291,22 +271,9 @@ class DnReport:
         self.violation = violation
         self.incomplete_theta_degrees = incomplete_theta_degrees
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.presentation, self.n, self.config, self.ok, self.degrees, self.violation,
-            self.incomplete_theta_degrees,
-        ) == (
-            other.presentation, other.n, other.config, other.ok, other.degrees,
-            other.violation, other.incomplete_theta_degrees,
-        )
-
-    def __hash__(self):
-        return hash((
-            self.presentation, self.n, self.config, self.ok, self.degrees, self.violation,
-            self.incomplete_theta_degrees,
-        ))
+    def _key(self):
+        return (self.presentation, self.n, self.config, self.ok, self.degrees,
+                self.violation, self.incomplete_theta_degrees)
 
     def search_bounds(self) -> dict:
         return {

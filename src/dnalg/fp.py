@@ -8,6 +8,9 @@ permutation matrix and all composite ranks are preserved.  Sparse
 polynomials over F_p, read as functions on F_p^n, back a solver that
 lists every common zero of a system of polynomial equations.
 
+``Record`` is the one equality idiom of dnalg's value classes: a subclass
+defines ``_key()``, and compares and hashes by it.
+
 Everything here is a pure function over immutable values, except that
 ``poly_mul_into`` adds into the dict it is given; concurrent use needs no
 locking.
@@ -17,6 +20,21 @@ from __future__ import annotations
 
 import itertools
 from operator import eq
+
+
+class Record:
+    """Compares and hashes by ``_key()``; values of different classes are
+    never equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def is_prime(n: int) -> bool:
@@ -66,7 +84,7 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
-class FpMatrix:
+class FpMatrix(Record):
     """Dense matrix over F_p, stored as a tuple of row tuples."""
 
     def __init__(self, modulus: int, entries: tuple[Vector, ...], cols: int):
@@ -74,15 +92,8 @@ class FpMatrix:
         self.entries = entries
         self.cols = cols
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.modulus, self.entries, self.cols) == (
-            other.modulus, other.entries, other.cols
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.entries, self.cols))
+    def _key(self):
+        return self.modulus, self.entries, self.cols
 
     @classmethod
     def from_rows(cls, p: int, rows, cols: int | None = None) -> "FpMatrix":
@@ -149,7 +160,7 @@ def solve(m: FpMatrix, b) -> Vector | None:
     return tuple(x)
 
 
-class Subspace:
+class Subspace(Record):
     """A subspace of F_p^n in canonical (reduced echelon) form.
 
     Equal subspaces have identical basis tuples, so ``==`` decides equality
@@ -161,15 +172,8 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.modulus, self.ambient_dim, self.basis) == (
-            other.modulus, other.ambient_dim, other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.ambient_dim, self.basis))
+    def _key(self):
+        return self.modulus, self.ambient_dim, self.basis
 
     @classmethod
     def from_vectors(cls, p: int, ambient_dim: int, vectors) -> "Subspace":
@@ -206,14 +210,11 @@ class Subspace:
     def contains(self, v) -> bool:
         return not any(self.reduce(v))
 
-    def add(self, other: "Subspace") -> "Subspace":
+    def __add__(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace.from_vectors(
             self.modulus, self.ambient_dim, self.basis + other.basis
         )
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        return self.add(other)
 
     def _check(self, other: "Subspace") -> None:
         if self.modulus != other.modulus or self.ambient_dim != other.ambient_dim:

@@ -43,6 +43,8 @@ import math
 from functools import lru_cache
 from operator import le
 
+from .fp import Record
+
 LEAF = None  # leaves of planar trees
 
 
@@ -137,7 +139,7 @@ def delete_leaf(tree, index: int):
 # ordered partitions and facets
 
 
-class OrderedPartition:
+class OrderedPartition(Record):
     """An ordered partition of {1..n}: disjoint increasing blocks covering it."""
 
     __slots__ = ("n", "blocks")
@@ -158,13 +160,8 @@ class OrderedPartition:
         self.n = n
         self.blocks = tuple(map(tuple, blocks))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.blocks) == (other.n, other.blocks)
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
+    def _key(self):
+        return self.n, self.blocks
 
     @property
     def type(self) -> tuple[int, ...]:
@@ -219,7 +216,7 @@ def _surjections(n: int, m: int):
     return out
 
 
-class GammaFacet:
+class GammaFacet(Record):
     """A facet of the permuto-associahedron, labelled by an ordered partition
     into at least two blocks."""
 
@@ -230,13 +227,8 @@ class GammaFacet:
             raise ValueError("facets need at least two blocks")
         self.partition = partition
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.partition == other.partition
-
-    def __hash__(self):
-        return hash((self.partition,))
+    def _key(self):
+        return (self.partition,)
 
     @property
     def n(self) -> int:
@@ -279,7 +271,7 @@ def enumerate_facets(n: int) -> list[GammaFacet]:
 # vertices
 
 
-class GammaVertex:
+class GammaVertex(Record):
     """A vertex: a permutation of {1..n} with a binary planar tree on n leaves."""
 
     __slots__ = ("perm", "tree")
@@ -296,13 +288,8 @@ class GammaVertex:
         self.perm = tuple(perm)
         self.tree = tree
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.perm, self.tree) == (other.perm, other.tree)
-
-    def __hash__(self):
-        return hash((self.perm, self.tree))
+    def _key(self):
+        return self.perm, self.tree
 
     @property
     def n(self) -> int:

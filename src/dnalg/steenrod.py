@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import re
 
-from .fp import check_odd_prime
+from .fp import Record, check_odd_prime
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
@@ -36,7 +36,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     return result
 
 
-class SteenrodMonomial:
+class SteenrodMonomial(Record):
     """A word b^{e_0} P^{s_1} b^{e_1} ... P^{s_k} b^{e_k}.
 
     ``eps`` has length k+1 with entries in {0,1}; ``pows`` holds the k
@@ -55,13 +55,8 @@ class SteenrodMonomial:
         self.eps = eps
         self.pows = pows
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.eps, self.pows) == (other.p, other.eps, other.pows)
-
-    def __hash__(self):
-        return hash((self.p, self.eps, self.pows))
+    def _key(self):
+        return self.p, self.eps, self.pows
 
     @classmethod
     def unit(cls, p: int) -> "SteenrodMonomial":
@@ -177,7 +172,7 @@ def _normal_form(m: SteenrodMonomial) -> tuple[tuple[SteenrodMonomial, int], ...
     ))
 
 
-class SteenrodElement:
+class SteenrodElement(Record):
     """An F_p-linear combination of admissible monomials."""
 
     __slots__ = ("p", "terms")
@@ -234,15 +229,8 @@ class SteenrodElement:
     def scale(self, c: int) -> "SteenrodElement":
         return SteenrodElement(self.p, {m: v * c for m, v in self.terms.items()})
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SteenrodElement)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, tuple(sorted(self.terms.items(), key=lambda mc: mc[0].sort_key()))))
+    def _key(self):
+        return self.p, tuple(self.monomials())
 
     def __repr__(self):
         return f"SteenrodElement({self.p}, {render_element(self)!r})"

@@ -47,7 +47,7 @@ import functools
 import itertools
 from operator import add
 
-from .fp import FpMatrix, Subspace, check_odd_prime
+from .fp import FpMatrix, Record, Subspace, check_odd_prime
 from .steenrod import (
     SteenrodElement,
     SteenrodMonomial,
@@ -62,7 +62,7 @@ class AlgebraError(ValueError):
     pass
 
 
-class AlgebraElement:
+class AlgebraElement(Record):
     """A linear combination of truncated monomials, tied to a presentation."""
 
     __slots__ = ("presentation", "terms")
@@ -134,15 +134,8 @@ class AlgebraElement:
             result = result * self
         return result
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.presentation is other.presentation
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((id(self.presentation), tuple(sorted(self.terms.items()))))
+    def _key(self):
+        return id(self.presentation), tuple(sorted(self.terms.items()))
 
     def __repr__(self):
         return f"AlgebraElement({render_polynomial(self)})"
@@ -505,25 +498,18 @@ class AlgebraPresentation:
 # validation
 
 
-class AdemFailure:
+class AdemFailure(Record):
     def __init__(self, a: int, b: int, monomial: Exponents, degree: int):
         self.a = a
         self.b = b
         self.monomial = monomial
         self.degree = degree
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.monomial, self.degree) == (
-            other.a, other.b, other.monomial, other.degree
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.monomial, self.degree))
+    def _key(self):
+        return self.a, self.b, self.monomial, self.degree
 
 
-class ActionValidation:
+class ActionValidation(Record):
     def __init__(
         self,
         ok: bool,
@@ -536,17 +522,8 @@ class ActionValidation:
         self.adem_failures = adem_failures
         self.instances_checked = instances_checked
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.ok, self.unstable_failures, self.adem_failures, self.instances_checked
-        ) == (other.ok, other.unstable_failures, other.adem_failures, other.instances_checked)
-
-    def __hash__(self):
-        return hash(
-            (self.ok, self.unstable_failures, self.adem_failures, self.instances_checked)
-        )
+    def _key(self):
+        return self.ok, self.unstable_failures, self.adem_failures, self.instances_checked
 
     def to_dict(self) -> dict:
         """The fields in order, each failure as a dict of its fields."""

@@ -120,6 +120,7 @@ def test_subspace_lattice_axioms_random():
         s, i = sum_and_intersection(u, v)
         assert includes(s, u) and includes(s, v)
         assert includes(u, i) and includes(v, i)
+        assert u + v == s
         assert s.dim + i.dim == u.dim + v.dim
 
 
@@ -159,13 +160,13 @@ def test_echelon_canonicity():
 def test_ambient_mismatch_rejected():
     u = Subspace.from_vectors(3, 2, [(1, 0)])
     v = Subspace.from_vectors(3, 3, [(1, 0, 0)])
-    with pytest.raises(ValueError):
-        u.add(v)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        u + v
     with pytest.raises(ValueError):
         u.contains((1, 0, 0))
     w = Subspace.from_vectors(5, 2, [(1, 0)])
-    with pytest.raises(ValueError):
-        u.add(w)
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        u + w
 
 
 def test_solve_rejects_bad_rhs_length():

@@ -2,7 +2,8 @@
 imports an underscore name from another dnalg module.  And every
 ``functools`` cache decorates a module-level function, so that emptying the
 caches found in the modules' namespaces (as the benchmark does before each
-job) empties them all.  Starting the CLI does not import ``dataclasses``."""
+job) empties them all.  Only ``fp.Record`` defines ``__eq__`` or ``__hash__``.
+Starting the CLI does not import ``dataclasses``."""
 
 import ast
 import importlib
@@ -54,6 +55,54 @@ def test_the_guard_sees_relative_and_absolute_imports(tmp_path):
     assert private_imports(module) == [
         "dn._sweep", "dnalg.truncated._adem_normal_form", "_hidden.x",
     ]
+
+
+EQUALITY_METHODS = {"__eq__", "__hash__"}
+
+
+def equality_definitions(path: pathlib.Path) -> list[str]:
+    """Every class in one module that defines or assigns ``__eq__`` or
+    ``__hash__``, as Class.method."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.FunctionDef):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{node.name}.{name}" for name in names if name in EQUALITY_METHODS]
+    return found
+
+
+def test_only_record_defines_equality():
+    # Every compared class inherits fp.Record's pair and defines _key().
+    found = {path.name: equality_definitions(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: defs for name, defs in found.items() if defs} == {
+        "fp.py": ["Record.__eq__", "Record.__hash__"],
+    }
+
+
+def test_the_equality_guard_sees_methods_and_assignments(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "class A:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    __hash__ = None\n"
+        "class B(A):\n"
+        "    def _key(self):\n"
+        "        return ()\n"
+        "    class Inner:\n"
+        "        def __hash__(self):\n"
+        "            return 0\n"
+        "def __eq__(a, b):\n"
+        "    return a is b\n"
+    )
+    assert equality_definitions(module) == ["A.__eq__", "A.__hash__", "Inner.__hash__"]
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}

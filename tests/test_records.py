@@ -1,14 +1,17 @@
 """dnalg's record classes are plain classes with explicit initializers.
 
 Each one keeps its field order, keyword names and defaults.  The classes
-that are compared or hashed define ``__eq__`` and ``__hash__``, with the
-hash of the field tuple in declaration order, so set and dict orders (and
-so every report) do not depend on how the records are built."""
+that are compared or hashed subclass ``fp.Record`` and compare and hash by
+the field tuple in declaration order, so set and dict orders (and so every
+report) do not depend on how the records are built.  ``AlgebraElement`` and
+``SteenrodElement`` are the other two ``Record`` subclasses; they compare by
+their terms, and an algebra element also by the identity of its
+presentation.  Slotted classes stay slot-only."""
 
 import pytest
 
 from dnalg.dn import DegreeResult, DnInstance, DnReport, DnSearchConfig, DnVerdict, _Slot
-from dnalg.fp import ChainRep, FpMatrix, IntervalForm, Subspace
+from dnalg.fp import ChainRep, FpMatrix, IntervalForm, Record, Subspace
 from dnalg.polytopes import LEAF, GammaFacet, GammaVertex, OrderedPartition
 from dnalg.steenrod import SteenrodElement, SteenrodMonomial
 from dnalg.theorems import (
@@ -18,7 +21,13 @@ from dnalg.theorems import (
     RangeVerdict,
     ReducedAlgebra,
 )
-from dnalg.truncated import ActionValidation, AdemFailure, AlgebraPresentation, QSpace
+from dnalg.truncated import (
+    ActionValidation,
+    AdemFailure,
+    AlgebraElement,
+    AlgebraPresentation,
+    QSpace,
+)
 
 from fp_oracles import identity
 
@@ -74,6 +83,7 @@ IDS = [cls.__name__ for cls, _ in RECORDS]
 def test_every_record_class_is_listed():
     assert len(RECORDS) == 22
     assert HASHED <= {cls for cls, _ in RECORDS}
+    assert set(Record.__subclasses__()) == HASHED | {AlgebraElement, SteenrodElement}
 
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=IDS)
@@ -85,7 +95,7 @@ def test_positional_and_keyword_forms_set_every_field(cls, values):
 
 @pytest.mark.parametrize("cls, values", RECORDS, ids=IDS)
 def test_only_compared_records_define_equality(cls, values):
-    assert ("__eq__" in vars(cls)) == ("__hash__" in vars(cls)) == (cls in HASHED)
+    assert issubclass(cls, Record) == (cls in HASHED)
     if cls not in HASHED:
         # identity, as for any object
         assert cls(*values.values()) != cls(*values.values())
@@ -103,6 +113,51 @@ def test_hashed_records_compare_and_hash_by_their_field_tuple(cls, values):
     assert hash(x) == hash(y) == hash(field_tuple)
     assert x != field_tuple  # another class never compares equal
     assert len({x, y}) == 1
+
+
+def test_equal_keys_of_different_classes_are_unequal():
+    class Derived(FpMatrix):
+        pass
+
+    x, y = FpMatrix(3, ((1,),), 1), Derived(3, ((1,),), 1)
+    assert x._key() == y._key()
+    assert x != y and not x == y
+    assert len({x, y}) == 2
+
+
+def test_algebra_elements_compare_by_presentation_identity_and_terms():
+    x = AlgebraElement(A, {(1,): 4, (2,): 0})
+    y = AlgebraElement(A, {(1,): 1})
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+    other = AlgebraPresentation(3, [("y", 1)])
+    assert AlgebraElement(other, {(1,): 1}) != x
+    assert (x == 3) is False
+
+
+def test_steenrod_elements_compare_by_prime_and_terms():
+    m1, m2 = SteenrodMonomial.power(3, 1), SteenrodMonomial.power(3, 2)
+    x = SteenrodElement(3, {m1: 1, m2: 2})
+    y = SteenrodElement(3, {m2: 5, m1: 4})  # another order, unreduced
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+    assert x != SteenrodElement(3, {m1: 1})
+    assert (x == 3) is False
+
+
+@pytest.mark.parametrize(
+    "value",
+    [PARTITION, GammaFacet(PARTITION), GammaVertex((2, 1), (LEAF, LEAF)), A.gen(0), P1],
+    ids=["OrderedPartition", "GammaFacet", "GammaVertex", "AlgebraElement",
+         "SteenrodElement"],
+)
+def test_slotted_records_have_no_instance_dict(value):
+    # Record itself has empty slots, so the Gamma_6 vertices stay dict-free.
+    assert not hasattr(value, "__dict__")
 
 
 def test_records_differing_in_one_field_are_unequal():
