@@ -242,20 +242,19 @@ def render_text(doc, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
-def _load(path: str) -> tuple[AlgebraPresentation, str]:
+def _load(args, config: dict) -> tuple[AlgebraPresentation, dict]:
+    """Parse ``args.file`` and start its report under ``args.command``, the
+    subcommand name, noting any autofilled action entries in the config."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise PresentationError(f"cannot read {path}: {exc}")
-    return parse_presentation(text), _digest(text)
-
-
-def _autofill_note(report: dict, a: AlgebraPresentation) -> None:
+        raise PresentationError(f"cannot read {args.file}: {exc}")
+    a = parse_presentation(text)
+    report = _report(args.command, _digest(text), config)
     if a.autofilled:
-        report["config"]["autofilled"] = [
-            f"P^{k} {name}" for name, k in a.autofilled
-        ]
+        config["autofilled"] = [f"P^{k} {name}" for name, k in a.autofilled]
+    return a, report
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +262,7 @@ def _autofill_note(report: dict, a: AlgebraPresentation) -> None:
 
 
 def _cmd_validate(args) -> tuple[dict, bool]:
-    a, digest = _load(args.file)
-    report = _report("validate", digest, {})
-    _autofill_note(report, a)
+    a, report = _load(args, {})
     result = validate_action(a)
     report["verdicts"] = [
         {"check": "unstable", "ok": not result.unstable_failures,
@@ -282,9 +279,7 @@ def _cmd_validate(args) -> tuple[dict, bool]:
 
 
 def _cmd_normalize(args) -> tuple[dict, bool]:
-    a, digest = _load(args.file)
-    report = _report("normalize", digest, {})
-    _autofill_note(report, a)
+    a, report = _load(args, {})
     _require_valid(a)
     norm = normalize_generators(a)
     report["verdicts"] = [{"check": "p1-normal-form", "ok": True}]
@@ -320,15 +315,10 @@ def _require_order(a: AlgebraPresentation, n: int) -> None:
 
 
 def _cmd_check_dn(args) -> tuple[dict, bool]:
-    a, digest = _load(args.file)
+    a, report = _load(args, {"n": args.n, "max_support": args.max_support,
+                             "theta_dim_bound": args.theta_dim_bound})
     config = _dn_config(args)
     _require_order(a, args.n)
-    report = _report(
-        "check-dn", digest,
-        {"n": args.n, "max_support": args.max_support,
-         "theta_dim_bound": args.theta_dim_bound},
-    )
-    _autofill_note(report, a)
     _require_valid(a)
     result = check_dn(a, args.n, config)
     report["verdicts"] = [r.to_dict() for r in result.degrees]
@@ -339,13 +329,9 @@ def _cmd_check_dn(args) -> tuple[dict, bool]:
 
 
 def _cmd_max_dn(args) -> tuple[dict, bool]:
-    a, digest = _load(args.file)
+    a, report = _load(args, {"max_support": args.max_support,
+                             "theta_dim_bound": args.theta_dim_bound})
     config = _dn_config(args)
-    report = _report(
-        "max-dn", digest,
-        {"max_support": args.max_support, "theta_dim_bound": args.theta_dim_bound},
-    )
-    _autofill_note(report, a)
     _require_valid(a)
     passing = max_dn_report(a, config)
     report["verdicts"] = [{"check": "max-order", "value": passing.n}]
@@ -354,10 +340,8 @@ def _cmd_max_dn(args) -> tuple[dict, bool]:
 
 
 def _cmd_check_propa(args) -> tuple[dict, bool]:
-    a, digest = _load(args.file)
+    a, report = _load(args, {"n": args.n})
     _require_order(a, args.n)
-    report = _report("check-propA", digest, {"n": args.n})
-    _autofill_note(report, a)
     _require_valid(a)
     norm = normalize_generators(a)
     result = check_prop_a(norm, args.n)
@@ -373,9 +357,7 @@ def _cmd_check_propa(args) -> tuple[dict, bool]:
 
 
 def _cmd_check_thma(args) -> tuple[dict, bool]:
-    a, digest = _load(args.file)
-    report = _report("check-thmA", digest, {})
-    _autofill_note(report, a)
+    a, report = _load(args, {})
     _require_valid(a)
     result = check_thm_a(a)
     report["verdicts"] = [v.to_dict() for v in result.verdicts]
@@ -384,9 +366,7 @@ def _cmd_check_thma(args) -> tuple[dict, bool]:
 
 
 def _cmd_reduce(args) -> tuple[dict, bool]:
-    a, digest = _load(args.file)
-    report = _report("reduce", digest, {})
-    _autofill_note(report, a)
+    a, report = _load(args, {})
     _require_valid(a)
     try:
         reduced = reduce_frobenius(a)

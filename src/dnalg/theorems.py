@@ -191,7 +191,7 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
     for res, degs in classes.items():
         lo, hi = min(degs), max(degs)
         nodes = list(range(lo, hi + 1, step))
-        dims = tuple(indecomposables(a, d).dim for d in nodes)
+        dims = tuple(len(indecomposables(a, d)) for d in nodes)
         maps = tuple(
             induced_q_map(a, p1, nodes[i]) for i in range(len(nodes) - 1)
         )
@@ -200,12 +200,13 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
             if basis.rows:
                 new_basis[d] = basis
 
+    units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
     images: list[AlgebraElement] = []
     for i in range(a.l):
         d = 2 * a.half_degrees[i]
-        q = indecomposables(a, d)
-        row = new_basis[d].row(q.gen_indices.index(i))
-        images.append(q.lift(row))
+        gens = indecomposables(a, d)
+        row = new_basis[d].row(gens.index(i))
+        images.append(a.element({units[j]: c for j, c in zip(gens, row)}))
 
     # Absorb decomposable remainders, lowest degrees first (generators are
     # listed by ascending half-degree, so images[i] is final when reached).
@@ -215,8 +216,9 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
         if w.in_filtration(2):  # zero or decomposable
             continue
         # Step 1 makes the class of w exactly one new basis row.
-        q = indecomposables(a, w.degree())
-        j = q.gen_indices[new_basis[q.degree].entries.index(q.project(w))]
+        d = w.degree()
+        gens = indecomposables(a, d)
+        j = gens[new_basis[d].entries.index(tuple(w.coefficient(units[k]) for k in gens))]
         targets[i] = j
         images[j] = w
     normal = transport(a, images)
@@ -415,11 +417,9 @@ class ReducedAlgebra:
         self,
         presentation: AlgebraPresentation,  # generators z_d with half-degree h_d
         kept: tuple[int, ...],              # indices into the original generators
-        h: tuple[int, ...],
     ):
         self.presentation = presentation
         self.kept = kept
-        self.h = h
 
 
 def reduce_frobenius(a: AlgebraPresentation) -> ReducedAlgebra:
@@ -461,7 +461,7 @@ def reduce_frobenius(a: AlgebraPresentation) -> ReducedAlgebra:
         for r in range(1, h[d] + 1):
             action[(names[d], r)] = push(a.action_entry(i, p * r))
     reduced = AlgebraPresentation(p, list(zip(names, h)), action)
-    return ReducedAlgebra(reduced, kept, h)
+    return ReducedAlgebra(reduced, kept)
 
 
 # ---------------------------------------------------------------------------

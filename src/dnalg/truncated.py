@@ -717,41 +717,12 @@ def filtration(a: AlgebraPresentation, t: int, d: int) -> Subspace:
     return Subspace(a.p, n, tuple(rows))
 
 
-class QSpace:
-    """The degree-d indecomposables A^d / (decomposables), with a section."""
-
-    def __init__(
-        self, presentation: AlgebraPresentation, degree: int, gen_indices: tuple[int, ...]
-    ):
-        self.presentation = presentation
-        self.degree = degree
-        self.gen_indices = gen_indices
-
-    @property
-    def dim(self) -> int:
-        return len(self.gen_indices)
-
-    def project(self, x: AlgebraElement) -> tuple[int, ...]:
-        """Coordinates of the class of x; decomposable monomials die."""
-        out = []
-        for i in self.gen_indices:
-            exps = tuple(1 if j == i else 0 for j in range(self.presentation.l))
-            out.append(x.terms.get(exps, 0))
-        return tuple(out)
-
-    def section(self, idx: int) -> AlgebraElement:
-        return self.presentation.gen(self.gen_indices[idx])
-
-    def lift(self, coords) -> AlgebraElement:
-        l = self.presentation.l
-        return self.presentation.element({
-            tuple(int(j == i) for j in range(l)): c for c, i in zip(coords, self.gen_indices)
-        })
-
-
-def indecomposables(a: AlgebraPresentation, d: int) -> QSpace:
-    gens = tuple(i for i, m in enumerate(a.half_degrees) if 2 * m == d)
-    return QSpace(a, d, gens)
+def indecomposables(a: AlgebraPresentation, d: int) -> tuple[int, ...]:
+    """The indices of the degree-d generators: a basis of the indecomposables
+    Q^d = A^d / (decomposables).  The class of an element x of degree d is
+    its coefficient on each of them, that is on the generator's own exponent
+    vector; decomposable monomials die."""
+    return tuple(i for i, m in enumerate(a.half_degrees) if 2 * m == d)
 
 
 def induced_q_map(a: AlgebraPresentation, theta: SteenrodElement, e: int) -> FpMatrix:
@@ -764,9 +735,7 @@ def induced_q_map(a: AlgebraPresentation, theta: SteenrodElement, e: int) -> FpM
     if deg is None:
         raise AlgebraError("theta must be homogeneous")
     source = indecomposables(a, e)
-    target = indecomposables(a, e + deg)
-    cols = []
-    for idx in range(source.dim):
-        cols.append(target.project(a.act(theta, source.section(idx))))
-    rows = [[cols[c][r] for c in range(source.dim)] for r in range(target.dim)]
-    return FpMatrix.from_rows(a.p, rows, source.dim)
+    units = [tuple(int(k == j) for k in range(a.l)) for j in indecomposables(a, e + deg)]
+    images = [a.act(theta, a.gen(i)) for i in source]
+    rows = [[x.coefficient(u) for x in images] for u in units]
+    return FpMatrix.from_rows(a.p, rows, len(source))

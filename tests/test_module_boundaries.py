@@ -3,7 +3,8 @@ imports an underscore name from another dnalg module.  And every
 ``functools`` cache decorates a module-level function, so that emptying the
 caches found in the modules' namespaces (as the benchmark does before each
 job) empties them all.  Only ``fp.Record`` defines ``__eq__`` or ``__hash__``.
-Starting the CLI does not import ``dataclasses``."""
+Every name the benchmark's tracer wraps exists.  Starting the CLI does not
+import ``dataclasses``."""
 
 import ast
 import importlib
@@ -103,6 +104,54 @@ def test_the_equality_guard_sees_methods_and_assignments(tmp_path):
         "    return a is b\n"
     )
     assert equality_definitions(module) == ["A.__eq__", "A.__hash__", "Inner.__hash__"]
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def unresolved(functions) -> list[str]:
+    """The entries of a tracing table that name nothing the tracer can wrap:
+    a module attribute, or for ``Class.method`` a method in the class's own
+    ``__dict__`` (which is what ``tracing.install`` replaces)."""
+    missing = []
+    for _, module_name, attr in functions:
+        owner = importlib.import_module(module_name)
+        cls_name, _, meth = attr.rpartition(".")
+        if cls_name:
+            cls = getattr(owner, cls_name, None)
+            found = cls is not None and meth in vars(cls)
+        else:
+            found = hasattr(owner, attr)
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    return missing
+
+
+def test_every_name_the_benchmark_wraps_resolves(monkeypatch):
+    # Import the benchmark's tracing table without writing into bench/.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    assert len(tracing.FUNCTIONS) >= 30
+    assert unresolved(tracing.FUNCTIONS) == []
+
+
+def test_the_wrapped_name_guard_sees_missing_names():
+    table = [
+        ("x", "dnalg.truncated", "induced_q_map"),
+        ("x", "dnalg.truncated", "QSpace"),
+        ("x", "dnalg.truncated", "AlgebraPresentation.act"),
+        ("x", "dnalg.truncated", "AlgebraPresentation.project"),
+        ("x", "dnalg.truncated", "QSpace.project"),
+        ("x", "dnalg.fp", "FpMatrix.__eq__"),  # inherited from Record
+    ]
+    assert unresolved(table) == [
+        "dnalg.truncated.QSpace",
+        "dnalg.truncated.AlgebraPresentation.project",
+        "dnalg.truncated.QSpace.project",
+        "dnalg.fp.FpMatrix.__eq__",
+    ]
 
 
 CACHE_DECORATORS = {"lru_cache", "cache"}

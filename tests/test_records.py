@@ -26,7 +26,6 @@ from dnalg.truncated import (
     AdemFailure,
     AlgebraElement,
     AlgebraPresentation,
-    QSpace,
 )
 
 from fp_oracles import identity
@@ -65,13 +64,12 @@ RECORDS = [
     (AdemFailure, dict(a=1, b=1, monomial=(1,), degree=4)),
     (ActionValidation, dict(ok=False, unstable_failures=("P^1 y != y^3",),
                             adem_failures=(FAILURE,), instances_checked=3)),
-    (QSpace, dict(presentation=A, degree=2, gen_indices=(0,))),
     (NormalizedPresentation, dict(presentation=A, images=(A.gen(0),), p1_targets={})),
     (PropAResult, dict(ok=True, failures=(), checked=0)),
     (RangeVerdict, dict(family="A1", a=0, b=1, c=1, t=1, source_degree=4,
                         target_degree=8, dim_source=1, dim_target=1, rank=1, ok=True)),
     (RangeCheckResult, dict(surjectivity=(VERDICT,), vanishing=(), isomorphism=())),
-    (ReducedAlgebra, dict(presentation=A, kept=(0,), h=(1,))),
+    (ReducedAlgebra, dict(presentation=A, kept=(0,))),
 ]
 HASHED = {
     FpMatrix, Subspace, DnSearchConfig, DegreeResult, DnReport, SteenrodMonomial,
@@ -81,7 +79,7 @@ IDS = [cls.__name__ for cls, _ in RECORDS]
 
 
 def test_every_record_class_is_listed():
-    assert len(RECORDS) == 22
+    assert len(RECORDS) == 21
     assert HASHED <= {cls for cls, _ in RECORDS}
     assert set(Record.__subclasses__()) == HASHED | {AlgebraElement, SteenrodElement}
 

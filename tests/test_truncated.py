@@ -693,20 +693,27 @@ def test_filtration_matches_rref_of_unit_rows(pool):
                 assert filtration(a, t, d) == Subspace.from_vectors(a.p, n, rows)
 
 
+def q_class(x, gens):
+    """The class of x in the indecomposables: its coefficient on each
+    generator in gens."""
+    l = x.presentation.l
+    return tuple(x.coefficient(tuple(int(k == i) for k in range(l))) for i in gens)
+
+
 def test_indecomposables_single_generator():
     a = s3_model(3, 2)
     q4 = indecomposables(a, 4)
-    assert q4.dim == 1
-    assert q4.project(a.gen(0)) == (1,)
-    assert indecomposables(a, 8).dim == 0
+    assert q4 == (0,)                       # dim Q^4 = 1
+    assert q_class(a.gen(0), q4) == (1,)
+    assert indecomposables(a, 8) == ()
 
 
 def test_indecomposables_two_generators():
     a = two_gen_shape()
     q8 = indecomposables(a, 8)
-    assert q8.dim == 1                      # only y8; y4^2 is decomposable
-    assert q8.project(a.gen(1)) == (1,)
-    assert q8.project(a.gen(0) * a.gen(0)) == (0,)
+    assert q8 == (1,)                       # only y8; y4^2 is decomposable
+    assert q_class(a.gen(1), q8) == (1,)
+    assert q_class(a.gen(0) * a.gen(0), q8) == (0,)
     assert a.dim(8) == 2
 
 
@@ -727,9 +734,41 @@ def test_induced_q_map_section_independent():
     a = two_gen_shape()
     p1 = SteenrodElement.power(3, 1)
     q8 = indecomposables(a, 8)
-    img1 = q8.project(a.act(p1, a.gen(0)))
-    img2 = q8.project(a.act(p1, a.gen(0) + a.element({(2, 0): 2})))
+    img1 = q_class(a.act(p1, a.gen(0)), q8)
+    img2 = q_class(a.act(p1, a.gen(0) + a.element({(2, 0): 2})), q8)
     assert img1 == img2
+    # y4^2 above has another degree than y4; here the decomposable g0*g1
+    # shares g2's degree 4, and P^1 of it is nonzero
+    b = random_table(random.Random(3), 3, (1, 1, 2, 4))
+    q8, g0g1 = indecomposables(b, 8), b.element({(1, 1, 0, 0): 1})
+    assert not b.act(p1, g0g1).is_zero()
+    img = q_class(b.act(p1, b.gen(2)), q8)
+    assert img == q_class(b.act(p1, b.gen(2) + g0g1), q8) == (2,)
+
+
+def test_induced_q_map_reads_the_stored_table(pool):
+    """Entry (r, c) of P^s on Q^e is the coefficient of generator target[r]
+    in the stored entry P^s y_{source[c]}: no Cartan evaluation.  The pool
+    links no generators, so random tables (not valid actions) add nonzero
+    maps."""
+    rng = random.Random(29)
+    shapes = ((2, 4), (1, 2, 4), (2, 2, 4), (1, 3, 5))
+    tables = [two_gen_shape()] + [random_table(rng, 3, ms) for ms in shapes for _ in range(3)]
+    nonzero = 0
+    for a in list(pool) + tables:
+        gen_degrees = sorted(set(a.degrees))
+        for e in gen_degrees:
+            source = indecomposables(a, e)
+            for s in range((gen_degrees[-1] - e) // (2 * (a.p - 1)) + 1):
+                d = e + 2 * s * (a.p - 1)
+                if d not in gen_degrees:
+                    continue
+                target = indecomposables(a, d)
+                m = induced_q_map(a, SteenrodElement.power(a.p, s), e)
+                columns = [q_class(a.action_entry(i, s), target) for i in source]
+                assert (m.entries, m.cols) == (tuple(zip(*columns)), len(source))
+                nonzero += s > 0 and not m.is_zero()
+    assert nonzero
 
 
 def test_element_degree_flags():
