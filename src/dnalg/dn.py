@@ -311,10 +311,12 @@ def _monic_combinations(p: int, words, bound: int):
     return combos, False
 
 
-def _build_slots(a, d, config, incomplete):
+def _build_slots(a, d, config, incomplete, words_of):
     """Candidate (source degree, operation) slots for one target degree,
     deduplicated by the projective class of the induced matrix.  Operation
-    degrees whose combinations were cut at the bound go into ``incomplete``."""
+    degrees whose combinations were cut at the bound go into ``incomplete``.
+    ``words_of`` maps an operation degree to its Bockstein-free admissible
+    words; it is filled here and shared by the target degrees of one sweep."""
     p, buckets = a.p, a._degree_buckets()
     basis_d = buckets[d]
     dim = len(basis_d)
@@ -327,10 +329,11 @@ def _build_slots(a, d, config, incomplete):
         if not basis_e:
             continue
         q = d - e
-        words = [
-            w for w in steenrod_basis(p, q, top=a.top_degree)
-            if not any(w.eps)
-        ]
+        words = words_of.get(q)
+        if words is None:
+            words = words_of[q] = [
+                w for w in steenrod_basis(p, q, top=a.top_degree) if not any(w.eps)
+            ]
         if not words:
             continue
         combos, truncated = _monic_combinations(p, words, config.theta_dim_bound)
@@ -440,6 +443,7 @@ def _sweep(a: AlgebraPresentation, config: DnSearchConfig, lo: int, hi: int) -> 
     best = hi
     swept = []  # (degree, shortest decomposable length, result, incomplete)
     violation: DnVerdict | None = None
+    words_of: dict[int, list] = {}  # operation degree -> words, see _build_slots
     for d in a.nonzero_degrees()[1:]:  # degree 0 holds the unit alone
         counts = a.word_length_counts(d)
         shortest = next((t for t in range(2, len(counts)) if counts[t]), math.inf)
@@ -447,7 +451,7 @@ def _sweep(a: AlgebraPresentation, config: DnSearchConfig, lo: int, hi: int) -> 
             swept.append((d, shortest, None, set()))
             continue
         incomplete: set[int] = set()
-        slots = _build_slots(a, d, config, incomplete)
+        slots = _build_slots(a, d, config, incomplete, words_of)
         lengths = [t for t, c in enumerate(counts) for _ in range(c)]
         cases = 0
         by_size: list[tuple[int, int]] = []

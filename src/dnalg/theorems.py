@@ -37,6 +37,7 @@ from .truncated import (
     adem_instances,
     indecomposables,
     induced_q_map,
+    pure_power,
 )
 
 
@@ -83,7 +84,7 @@ def transport(
         return a
     # The linear part must be invertible: in each generator degree, the
     # images' coefficients on that degree's generators have full rank.
-    units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
+    units = [pure_power(a.l, i) for i in range(a.l)]
     for m in set(a.half_degrees):
         gens = [i for i, h in enumerate(a.half_degrees) if h == m]
         rows = [[images[i].coefficient(units[j]) for j in gens] for i in gens]
@@ -200,7 +201,7 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
             if basis.rows:
                 new_basis[d] = basis
 
-    units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
+    units = [pure_power(a.l, i) for i in range(a.l)]
     images: list[AlgebraElement] = []
     for i in range(a.l):
         d = 2 * a.half_degrees[i]
@@ -506,9 +507,8 @@ def _symbolic_entries(a: AlgebraPresentation, blocks) -> dict[tuple[int, int], d
     one = {(): 1}
     entries: dict[tuple[int, int], dict[Exponents, Poly]] = {}
     for i, m in enumerate(a.half_degrees):
-        unit = tuple(int(j == i) for j in range(a.l))
-        entries[(i, 0)] = {unit: one}
-        entries[(i, m)] = {tuple(a.p * e for e in unit): one}
+        entries[(i, 0)] = {pure_power(a.l, i): one}
+        entries[(i, m)] = {pure_power(a.l, i, a.p): one}
     v = 0
     for i, k, basis in blocks:
         entries[(i, k)] = {e: {(v + n,): 1} for n, e in enumerate(basis)}
@@ -525,7 +525,7 @@ def _unknown_grading(blocks, l: int) -> list[tuple[int, ...]]:
     ``_truncation_equations`` is homogeneous modulo p - 1."""
     grading = []
     for i, _, basis in blocks:
-        unit = tuple(int(j == i) for j in range(l))
+        unit = pure_power(l, i)
         grading.extend(tuple(map(sub, e, unit)) for e in basis)
     return grading
 
@@ -533,7 +533,9 @@ def _unknown_grading(blocks, l: int) -> list[tuple[int, ...]]:
 def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
     """The coefficients of LHS - RHS of every instance (P^a, P^b, monomial),
     as polynomials in the variables of ``entries`` (see ``_symbolic_entries``).
-    ``power`` is ``_act_power_raw`` over polynomials.  As in ``validate_action``,
+    ``power`` is ``_act_power_raw`` over polynomials, with its closed form
+    on y_i^p: the coefficients c satisfy c^p = c as functions on F_p^n, which
+    is how the solver's polynomials multiply.  As in ``validate_action``,
     each normal-form word P^s P^t is evaluated once per monomial, with
     coefficient 1, into a table (s, t) -> {x: P^s(P^t x)} and scaled into each
     instance; the coefficients are units, so no monomial moves or vanishes."""
@@ -551,6 +553,11 @@ def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
         i = len(exps) - 1
         while i >= 0 and not exps[i]:
             i -= 1
+        if i >= 0 and exps[i] == p and sum(exps) == p:  # y_i^p: P(y_i^p) = P(y_i)^p
+            q, r = divmod(k, p)
+            g = entries[(i, q)] if not r and q <= a.half_degrees[i] else {}
+            out = memo[exps] = {tuple(p * x for x in e): c for e, c in g.items() if max(e) <= 1}
+            return out
         acc: dict[Exponents, dict] = {}
         if i >= 0:  # else the unit: P^k 1 = 0
             x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
@@ -631,7 +638,7 @@ def _derive_equations(a: AlgebraPresentation, blocks) -> list[Poly]:
     presentation ``a``: every in-range Adem instance on the generator of its
     degree, then the truncation equations."""
     degrees = a.degrees
-    units = [tuple(int(j == i) for j in range(a.l)) for i in range(a.l)]
+    units = [pure_power(a.l, i) for i in range(a.l)]
     instances = [
         (ae, be, units[i])
         for ae, be, d in adem_instances(a.p, tuple(sorted(set(degrees))), a.top_degree)

@@ -18,7 +18,9 @@ Presentations are immutable after construction (caches are internal and
 value-transparent); all operations are pure.  ``with_action`` builds a table
 on the same generators without re-checking them, sharing the degree buckets
 and per-degree basis indices: these depend on the generators alone and are
-never mutated once built (``basis_of_degree`` hands out copies).
+never mutated once built (``basis_of_degree`` hands out copies).  It shares
+the buckets as they stand and builds none: a table whose source never
+scanned its monomials scans them the first time something reads them.
 
 The public ``AlgebraElement`` constructor and ``element`` check every term:
 its arity and signs, and they drop monomials beyond the truncation and
@@ -31,7 +33,8 @@ and scalings, once reduced mod p.  The tests rebuild every such element
 through the public constructor.
 
 P^k of each monomial is computed once per presentation and kept in one memo
-dict per power index k.  The sweep reads the normal-form words of
+dict per power index k; on a p-th power y_i^p it is read off the entry
+P^{k/p} y_i (see ``_act_power_raw``).  The sweep reads the normal-form words of
 every Adem instance from a composition table (i, j) -> {x: P^i(P^j x)} built
 on top of that memo.  The table lives for one call and holds unreduced
 coefficients; P^0 is the identity, so the row (s, 0) is the memo of P^s
@@ -56,6 +59,11 @@ from .steenrod import (
 )
 
 Exponents = tuple[int, ...]
+
+
+def pure_power(l: int, i: int, e: int = 1) -> Exponents:
+    """The exponent vector of y_i^e among l generators."""
+    return (0,) * i + (e,) + (0,) * (l - 1 - i)
 
 
 class AlgebraError(ValueError):
@@ -220,8 +228,7 @@ class AlgebraPresentation:
             if (i, m) not in self._action:
                 # The top reduced power on a generator is forced to the p-th
                 # power by unstability; fill it in and record that we did.
-                exps = tuple(p if j == i else 0 for j in range(self.l))
-                self._action[(i, m)] = {exps: 1}
+                self._action[(i, m)] = {pure_power(self.l, i, p): 1}
                 filled.append((self.names[i], m))
         self.autofilled = tuple(filled)
         for (i, k), poly in self._action.items():
@@ -244,9 +251,10 @@ class AlgebraPresentation:
         """A presentation on these generators with the entries P^k y_i of
         ``action``, keyed by (generator index, k) for 1 <= k < m_i; every
         P^{m_i} y_i = y_i^p is filled in and recorded in ``autofilled``, as
-        the constructor does, sharing the generator-only caches (see the
-        module docstring).  Each monomial must lie in the basis of its
-        entry's degree and each coefficient in 1..p-1, else ``AlgebraError``."""
+        the constructor does, sharing the generator-only caches as they
+        stand, built or not (see the module docstring).  Each monomial must
+        lie in the basis of its entry's degree and each coefficient in
+        1..p-1, else ``AlgebraError``."""
         p, l = self.p, self.l
         for (i, k), poly in action.items():
             if not (0 <= i < l and 1 <= k < self.half_degrees[i]):
@@ -261,9 +269,9 @@ class AlgebraPresentation:
         a.p, a.names, a.half_degrees, a._index = p, self.names, self.half_degrees, self._index
         a._action = {key: dict(poly) for key, poly in action.items()}
         for i, m in enumerate(self.half_degrees):
-            a._action[(i, m)] = {tuple(p if j == i else 0 for j in range(l)): 1}
+            a._action[(i, m)] = {pure_power(l, i, p): 1}
         a.autofilled = tuple(zip(self.names, self.half_degrees))
-        a._basis_buckets, a._basis_index = self._degree_buckets(), self._basis_index
+        a._basis_buckets, a._basis_index = self._basis_buckets, self._basis_index
         a._length_counts, a._power_memo = None, {}
         return a
 
@@ -336,8 +344,7 @@ class AlgebraPresentation:
         return _element(self, {tuple([0] * self.l): 1})
 
     def gen(self, i: int) -> AlgebraElement:
-        exps = tuple(1 if j == i else 0 for j in range(self.l))
-        return _element(self, {exps: 1})
+        return _element(self, {pure_power(self.l, i): 1})
 
     def generator(self, name: str) -> AlgebraElement:
         return self.gen(self._index[name])
@@ -397,7 +404,15 @@ class AlgebraPresentation:
         """P^k (k >= 1) on one monomial, by recursion on its last generator
         factor: P^k(x y_i) = sum_j P^{k-j}(x) P^j(y_i), memoized per k.
         The j = 0 term is P^k(x) with exponent i raised by one, and the
-        j = k term is the stored entry P^k(y_i) times x."""
+        j = k term is the stored entry P^k(y_i) times x.
+
+        On y_i^p the recursion would run p levels deep; the total power
+        P = sum_k P^k that it computes is a ring map and Frobenius is one,
+        so P(y_i^p) = P(y_i)^p = sum c^p mono^p over the square-free
+        monomials of P(y_i), with c^p = c in F_p.  P^k(y_i^p) is therefore
+        zero unless k = p*q with q <= m_i, and then the square-free part of
+        the entry P^q(y_i) raised to the p-th power.  That holds for any
+        table, valid or not."""
         memo = self._power_memo.get(k)
         if memo is None:
             memo = self._power_memo[k] = {}
@@ -410,8 +425,13 @@ class AlgebraPresentation:
         if i < 0:  # the unit: P^k 1 = 0 for k >= 1
             memo[exps] = {}
             return memo[exps]
-        x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         p = self.p
+        if exps[i] == p and sum(exps) == p:  # y_i^p: the closed form above
+            q, r = divmod(k, p)
+            g = self._action.get((i, q), {}) if not r and q <= self.half_degrees[i] else {}
+            out = memo[exps] = {tuple(p * x for x in e): c for e, c in g.items() if max(e) <= 1}
+            return out
+        x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         acc: dict[Exponents, int] = {}
         for e1, c1 in self._act_power_raw(k, x).items():
             if e1[i] < p:  # distinct e1 raise to distinct monomials
@@ -673,8 +693,8 @@ def validate_action(a: AlgebraPresentation) -> ActionValidation:
     truncation: list[str] = []
     above = sorted(key for key in action if key[1] > a.half_degrees[key[0]])
     for i, m in enumerate(a.half_degrees):
-        name, unit = a.names[i], tuple(int(j == i) for j in range(a.l))
-        if action[(i, m)] != {tuple(p * e for e in unit): 1}:
+        name, unit = a.names[i], pure_power(a.l, i)
+        if action[(i, m)] != {pure_power(a.l, i, p): 1}:
             unstable.append(f"P^{m} {name} != {name}^{p}")
         for j, k in above:
             if j == i and action[(j, k)]:
@@ -735,7 +755,7 @@ def induced_q_map(a: AlgebraPresentation, theta: SteenrodElement, e: int) -> FpM
     if deg is None:
         raise AlgebraError("theta must be homogeneous")
     source = indecomposables(a, e)
-    units = [tuple(int(k == j) for k in range(a.l)) for j in indecomposables(a, e + deg)]
+    units = [pure_power(a.l, j) for j in indecomposables(a, e + deg)]
     images = [a.act(theta, a.gen(i)) for i in source]
     rows = [[x.coefficient(u) for x in images] for u in units]
     return FpMatrix.from_rows(a.p, rows, len(source))

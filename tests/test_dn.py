@@ -368,8 +368,9 @@ def test_slot_columns_match_the_action(pool):
     config = DnSearchConfig()
     slots = 0
     for a in pool:
+        words_of = {}  # shared by the degrees of one model, as in a sweep
         for d in a.nonzero_degrees():
-            for slot in _build_slots(a, d, config, set()):
+            for slot in _build_slots(a, d, config, set(), words_of):
                 monos = a.basis_of_degree(slot.source_degree)
                 assert len(slot.columns) == len(monos)
                 for col, m in zip(slot.columns, monos):
@@ -419,10 +420,10 @@ def test_incomplete_theta_enumeration_flagged():
     a = derived(3, (2, 3))[0]
 
     def flagged(bound):
-        incomplete = set()
+        incomplete, words_of = set(), {}
         config = DnSearchConfig(max_support=2, theta_dim_bound=bound)
         for d in a.nonzero_degrees():
-            _build_slots(a, d, config, incomplete)
+            _build_slots(a, d, config, incomplete, words_of)
         return incomplete
 
     assert flagged(0) == {16, 20}

@@ -778,6 +778,14 @@ def test_derived_tables_equal_their_public_rebuild():
     assert checked == 209
 
 
+def test_derive_without_free_entries_builds_no_basis():
+    # A shape with no free entry reads no degree basis while it derives, so
+    # its table leaves the monomial scan to the first reader.
+    (a,) = derive_actions(7, [1, 1, 1])
+    assert a._basis_buckets is None
+    assert a.dim(2) == 3
+
+
 def test_derive_without_unknowns_matches_validate_action():
     # With no free coefficient derive solves a system of constants; the
     # forced table (P^{m_i} y_i = y_i^p, every other entry zero) must be

@@ -24,6 +24,7 @@ from dnalg.truncated import (
     indecomposables,
     induced_q_map,
     preserves_truncation,
+    pure_power,
     render_polynomial,
     validate_action,
 )
@@ -210,6 +211,10 @@ def test_act_power_matches_total_power_series(pool):
     tables = [
         random_table(rng, p, ms) for p, ms in [(3, (1, 2, 3)), (5, (1, 2, 4)), (7, (2, 3))]
     ]
+    # An entry above m_i, which the Cartan formula never reads: P^2 y2 = y4*y6,
+    # so P^6(y2^3) would be (y4*y6)^3 if it did.
+    tables.append(AlgebraPresentation(3, [("y2", 1), ("y4", 2), ("y6", 3)], {("y2", 2): {(0, 1, 1): 1}}))
+    frobenius_images = 0
     for a in list(pool) + tables:
         ks = range(max(a.half_degrees) + 1)
         monomials = [e for d in a.nonzero_degrees() for e in a.basis_of_degree(d)]
@@ -217,6 +222,14 @@ def test_act_power_matches_total_power_series(pool):
             for k in ks:
                 got = a.act_power(k, a.element({exps: 1})).terms
                 assert got == total_power_series_act(a, k, exps), (a, k, exps)
+        # P^{pq}(y_i^p) = P^q(y_i)^p reaches past max m_i: every k that fits.
+        for i in range(a.l):
+            exps = pure_power(a.l, i, a.p)
+            for k in range(a.top_degree // (2 * (a.p - 1)) + 1):
+                got = a.act_power(k, a.element({exps: 1})).terms
+                assert got == total_power_series_act(a, k, exps), (a, k, exps)
+                frobenius_images += k >= a.p and bool(got)
+    assert frobenius_images
 
 
 def test_cartan_property_random(pool):
