@@ -28,16 +28,19 @@ from .fp import (
     solve,
     solve_polynomial_system,
 )
-from .steenrod import SteenrodElement, adem_relation
+from .steenrod import SteenrodElement
 from .truncated import (
     AlgebraElement,
     AlgebraError,
     AlgebraPresentation,
     Exponents,
-    adem_instances,
+    adem_residues,
+    frobenius,
+    generator_instances,
     indecomposables,
     induced_q_map,
     pure_power,
+    truncation_product,
 )
 
 
@@ -521,8 +524,8 @@ def _unknown_grading(blocks, l: int) -> list[tuple[int, ...]]:
     ``_symbolic_entries``): scaling each generator y_j by c_j in F_p^*
     scales the coefficient of y^e in P^k y_i by c^e / c_i, so that
     coefficient has degree e - unit_i.  The forced entries have degree 0
-    modulo p - 1, so every equation of ``_adem_equations`` and
-    ``_truncation_equations`` is homogeneous modulo p - 1."""
+    modulo p - 1, so every equation of ``_derive_equations`` is homogeneous
+    modulo p - 1."""
     grading = []
     for i, _, basis in blocks:
         unit = pure_power(l, i)
@@ -531,14 +534,12 @@ def _unknown_grading(blocks, l: int) -> list[tuple[int, ...]]:
 
 
 def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
-    """The coefficients of LHS - RHS of every instance (P^a, P^b, monomial),
-    as polynomials in the variables of ``entries`` (see ``_symbolic_entries``).
-    ``power`` is ``_act_power_raw`` over polynomials, with its closed form
-    on y_i^p: the coefficients c satisfy c^p = c as functions on F_p^n, which
-    is how the solver's polynomials multiply.  As in ``validate_action``,
-    each normal-form word P^s P^t is evaluated once per monomial, with
-    coefficient 1, into a table (s, t) -> {x: P^s(P^t x)} and scaled into each
-    instance; the coefficients are units, so no monomial moves or vanishes."""
+    """The coefficients of the residue of every instance (P^a, P^b,
+    monomial) (``truncated.adem_residues``), as polynomials in the variables
+    of ``entries`` (see ``_symbolic_entries``).  ``power`` is
+    ``_act_power_raw`` over polynomials, with its closed form on y_i^p: the
+    coefficients c satisfy c^p = c as functions on F_p^n, which is how the
+    solver's polynomials multiply."""
     p, one = a.p, {(): 1}
     memos: dict[int, dict[Exponents, dict[Exponents, Poly]]] = {}
 
@@ -556,7 +557,7 @@ def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
         if i >= 0 and exps[i] == p and sum(exps) == p:  # y_i^p: P(y_i^p) = P(y_i)^p
             q, r = divmod(k, p)
             g = entries[(i, q)] if not r and q <= a.half_degrees[i] else {}
-            out = memo[exps] = {tuple(p * x for x in e): c for e, c in g.items() if max(e) <= 1}
+            out = memo[exps] = frobenius(p, g)
             return out
         acc: dict[Exponents, dict] = {}
         if i >= 0:  # else the unit: P^k 1 = 0
@@ -590,63 +591,42 @@ def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
                 poly_mul_into(acc.setdefault(e, {}), f, g, p)
         return {e: c for e, g in acc.items() if (c := poly_reduce(g, p))}
 
-    table: dict[tuple[int, int], dict[Exponents, dict[Exponents, Poly]]] = {}
-    equations = []
-    for ae, be, exps in instances:
-        # No other instance shares the left side, so it is composed fresh
-        # (be >= 1) and the right side is subtracted into it.
-        diff = compose(ae, be, exps)
-        for c, s, t in adem_relation(p, ae, be):
-            row = table.setdefault((s, t), {})
-            image = row.get(exps)
-            if image is None:
-                image = row[exps] = compose(s, t, exps)
-            for e, f in image.items():
-                acc = diff.setdefault(e, {})
-                for m, v in f.items():
-                    acc[m] = acc.get(m, 0) - c * v
-        equations.extend(poly_reduce(f, p) for f in diff.values())
-    return equations
+    def add_scaled(residue: dict, c: int, image: dict[Exponents, Poly]) -> None:
+        for e, f in image.items():
+            acc = residue.setdefault(e, {})
+            for m, v in f.items():
+                acc[m] = acc.get(m, 0) + c * v
+
+    residues = adem_residues(p, instances, compose, add_scaled)
+    return [poly_reduce(f, p) for *_, residue in residues for f in residue.values()]
 
 
 def _truncation_equations(a: AlgebraPresentation, entries) -> list[Poly]:
     """Every coefficient of P(y_i)^{p+1}, where P(y_i) = sum_k P^k y_i, in
-    the variables of ``entries``.  By Frobenius P(y_i)^p = sum c^p * mono^p
-    over the square-free monomials of P(y_i), and c^p = c as a function on
-    F_p^n, so each equation is quadratic: the coefficients of
-    (sum c * mono^p) * P(y_i)."""
+    the variables of ``entries`` (``truncated.truncation_product``): each is
+    quadratic, since the Frobenius image keeps the coefficients."""
     p = a.p
+
+    def add_scaled(acc: dict, f: Poly, image: dict[Exponents, Poly]) -> None:
+        for e, g in image.items():
+            poly_mul_into(acc.setdefault(e, {}), f, g, p)
+
     equations = []
     for i, m in enumerate(a.half_degrees):
         # The entries have distinct degrees, so their monomials are distinct.
         total = {e: f for k in range(m + 1) for e, f in entries[(i, k)].items()}
-        acc: dict[Exponents, dict] = {}
-        for e1, c1 in total.items():
-            if max(e1) > 1:
-                continue
-            frob = tuple(p * x for x in e1)
-            for e2, c2 in total.items():
-                e = tuple(map(add, frob, e2))
-                if max(e) <= p:
-                    poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
-        equations.extend(poly_reduce(f, p) for f in acc.values())
+        product = truncation_product(p, total, add_scaled)
+        equations.extend(poly_reduce(f, p) for f in product.values())
     return equations
 
 
 def _derive_equations(a: AlgebraPresentation, blocks) -> list[Poly]:
     """The system ``derive_actions`` solves on the generator-only
     presentation ``a``: every in-range Adem instance on the generator of its
-    degree, then the truncation equations."""
-    degrees = a.degrees
-    units = [pure_power(a.l, i) for i in range(a.l)]
-    instances = [
-        (ae, be, units[i])
-        for ae, be, d in adem_instances(a.p, tuple(sorted(set(degrees))), a.top_degree)
-        for i, e in enumerate(degrees)
-        if e == d
-    ]
+    degree (``truncated.generator_instances``), then the truncation
+    equations."""
     entries = _symbolic_entries(a, blocks)
-    return _adem_equations(a, entries, instances) + _truncation_equations(a, entries)
+    return _adem_equations(a, entries, generator_instances(a)) + _truncation_equations(a, entries)
 
 
 def derive_actions(
@@ -658,12 +638,12 @@ def derive_actions(
 
     Each coefficient of P^k y_i (1 <= k < m_i) on the degree basis is one
     variable, numbered k-major, then by generator, then in basis order
-    (P^{m_i} y_i = y_i^p is forced).  The equations over F_p are the
-    coefficients of P^a P^b y_i minus its normal form, for every in-range
-    instance on the generator y_i of its degree, and of P(y_i)^{p+1}, where
-    P(y_i) = sum_k P^k y_i is the total power (``_truncation_equations``).
-    By the proposition in ``validate_action``'s docstring, the solutions are
-    exactly the tables that ``validate_action`` accepts.  The solver
+    (P^{m_i} y_i = y_i^p is forced).  The equations over F_p are
+    ``validate_action``'s checks with the unknowns kept symbolic: the
+    residues of ``truncated.generator_instances`` and the coefficients of
+    the ``truncated.truncation_product`` of each total power P(y_i) =
+    sum_k P^k y_i.  By the proposition in ``validate_action``'s docstring,
+    the solutions are exactly the tables that it accepts.  The solver
     eliminates what is linear and branches on what stays nonlinear.  The
     equations are homogeneous modulo p - 1 for the grading of the unknowns
     by generator scalings (``_unknown_grading``), so the solver branches once

@@ -34,14 +34,12 @@ through the public constructor.
 
 P^k of each monomial is computed once per presentation and kept in one memo
 dict per power index k; on a p-th power y_i^p it is read off the entry
-P^{k/p} y_i (see ``_act_power_raw``).  The sweep reads the normal-form words of
-every Adem instance from a composition table (i, j) -> {x: P^i(P^j x)} built
-on top of that memo.  The table lives for one call and holds unreduced
-coefficients; P^0 is the identity, so the row (s, 0) is the memo of P^s
-itself.  Each composition is made once, although the normal forms of many
-instances share words.  Each instance accumulates its left side P^a(P^b x),
-which no other instance shares, minus its right side in one dict, and tests
-that difference mod p.
+P^{k/p} y_i (see ``_act_power_raw``).  ``validate_action`` and the symbolic
+system of ``theorems.derive_actions`` share one Adem system, each piece
+taking the caller's kernel or coefficient arithmetic: the instances on the
+generators (``generator_instances``), their residues (``adem_residues``),
+the truncation product x^{p+1} = x^p * x (``truncation_product``) and the
+Frobenius image x^p (``frobenius``).
 """
 
 from __future__ import annotations
@@ -429,7 +427,7 @@ class AlgebraPresentation:
         if exps[i] == p and sum(exps) == p:  # y_i^p: the closed form above
             q, r = divmod(k, p)
             g = self._action.get((i, q), {}) if not r and q <= self.half_degrees[i] else {}
-            out = memo[exps] = {tuple(p * x for x in e): c for e, c in g.items() if max(e) <= 1}
+            out = memo[exps] = frobenius(p, g)
             return out
         x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
         acc: dict[Exponents, int] = {}
@@ -601,68 +599,74 @@ def adem_instance_holds(
     return lhs == a._act_terms(_adem_normal_form(a.p, a_exp, b_exp), x)
 
 
+def frobenius(p: int, terms: dict) -> dict:
+    """x^p for the x with these terms: by Frobenius, the sum of c * mono^p
+    over its square-free monomials (any other mono^p leaves the truncation),
+    with c^p = c in F_p, and as functions on F_p^n.  The coefficients pass
+    through untouched, so ints and ``Poly``s both work.  With no generator
+    the one monomial is (), read as (0,) here and in ``truncation_product``."""
+    return {tuple(p * x for x in e): c for e, c in terms.items() if max(e or (0,)) <= 1}
+
+
+def truncation_product(p: int, terms: dict, add_scaled) -> dict:
+    """The coefficients of x^{p+1} = x^p * x, unreduced, for the x with these
+    clean terms: for each term c * mono^p of x^p, ``add_scaled(acc, c,
+    image)`` adds c times the image mono^p * x into acc."""
+    out: dict = {}
+    for e1, c1 in frobenius(p, terms).items():
+        image = {}
+        for e2, c2 in terms.items():
+            e = tuple(map(add, e1, e2))
+            if max(e or (0,)) <= p:
+                image[e] = c2
+        add_scaled(out, c1, image)
+    return out
+
+
+def _add_scaled(acc: dict, c: int, image: dict) -> None:
+    for e, v in image.items():
+        acc[e] = acc.get(e, 0) + c * v
+
+
 def preserves_truncation(a: AlgebraPresentation, images) -> bool:
     """Whether x^{p+1} = 0 in T for every x in ``images``, so that y_i -> x_i
     respects the relations y_i^{p+1} = 0."""
-    return all(_truncation_holds(a.p, x.terms) for x in images)
-
-
-def _truncation_holds(p: int, terms: dict[Exponents, int]) -> bool:
-    """Whether x^{p+1} = x^p * x = 0 for the x with these clean terms, where
-    by Frobenius x^p = sum c * mono^p over the square-free monomials."""
-    out: dict[Exponents, int] = {}
-    for m, c1 in terms.items():
-        if max(m, default=0) <= 1:
-            for e2, c2 in terms.items():
-                e = tuple(p * x + y for x, y in zip(m, e2))
-                if max(e, default=0) <= p:
-                    out[e] = out.get(e, 0) + c1 * c2
-    return not any(v % p for v in out.values())
-
-
-def _adem_sweep(a: AlgebraPresentation, instances, by_degree: dict) -> list[AdemFailure]:
-    """Each instance (a, b, d) that fails on a monomial of ``by_degree[d]``,
-    in instance order, then monomial order; see the module docstring."""
     p = a.p
-    power, memo = a._act_power_raw, a._power_memo
-    table: dict[tuple[int, int], dict[Exponents, dict[Exponents, int]]] = {}
+    return not any(
+        v % p for x in images for v in truncation_product(p, x.terms, _add_scaled).values()
+    )
 
-    def compose(i: int, j: int, x: Exponents) -> dict[Exponents, int]:
-        if not j:
-            return power(i, x)
-        out: dict[Exponents, int] = {}
-        for e, c in power(j, x).items():
-            for f, v in power(i, e).items():
-                out[f] = out.get(f, 0) + c * v
-        return out
 
-    failures: list[AdemFailure] = []
-    # (a, b) -> (c, i, j, table row) per word P^i P^j of the normal form of
-    # P^a P^b, with P^s read as P^s P^0.
-    words_of: dict[tuple[int, int], list] = {}
-    for a_exp, b_exp, d in instances:
-        monomials = by_degree.get(d)
-        if not monomials:
-            continue
-        words = words_of.get((a_exp, b_exp))
-        if words is None:
-            words = words_of[(a_exp, b_exp)] = []
-            for c, i, j in adem_relation(p, a_exp, b_exp):
-                row = table.setdefault((i, j), {}) if j else memo.setdefault(i, {})
-                words.append((c, i, j, row))
-        for exps in monomials:
-            # Each (a, b, d) is one instance per monomial, so the left side
-            # is never shared: it is composed into a fresh dict (b >= 1).
-            diff = compose(a_exp, b_exp, exps)
-            for c, i, j, row in words:
-                image = row.get(exps)
-                if image is None:
-                    image = row[exps] = compose(i, j, exps)
-                for e, v in image.items():
-                    diff[e] = diff.get(e, 0) - c * v
-            if any(v % p for v in diff.values()):
-                failures.append(AdemFailure(a_exp, b_exp, exps, d))
-    return failures
+def generator_instances(a: AlgebraPresentation) -> list[tuple[int, int, Exponents]]:
+    """Every in-range Adem instance (a, b, y_i) on the generator y_i of its
+    degree: in ``adem_instances`` order, then by descending index among the
+    generators of one degree, which is their basis order.  No degree basis
+    is read."""
+    units: dict[int, list[Exponents]] = {}
+    for i in reversed(range(a.l)):
+        units.setdefault(2 * a.half_degrees[i], []).append(pure_power(a.l, i))
+    instances = adem_instances(a.p, tuple(sorted(units)), a.top_degree)
+    return [(ae, be, x) for ae, be, d in instances for x in units[d]]
+
+
+def adem_residues(p: int, instances, compose, add_scaled):
+    """LHS - RHS of each instance (a, b, x) in ``instances``, yielded in their
+    order as (a, b, x, residue), with unreduced coefficients.
+    ``compose(s, t, x)`` is P^s P^t x (P^s x when t = 0), a fresh dict when
+    t >= 1, and ``add_scaled(residue, c, image)`` adds c * image to residue.
+    Each word of a normal form (``adem_relation``) is composed once per
+    monomial, with coefficient 1, into a table that lives for one call; the
+    left side P^a P^b x (b >= 1) is shared by no other instance, so it is
+    composed fresh and becomes the residue."""
+    table: dict[tuple[int, int, Exponents], dict] = {}
+    for a_exp, b_exp, x in instances:
+        residue = compose(a_exp, b_exp, x)
+        for c, s, t in adem_relation(p, a_exp, b_exp):
+            image = table.get((s, t, x))
+            if image is None:
+                image = table[s, t, x] = compose(s, t, x)
+            add_scaled(residue, -c, image)
+        yield a_exp, b_exp, x, residue
 
 
 def validate_action(a: AlgebraPresentation) -> ActionValidation:
@@ -703,14 +707,28 @@ def validate_action(a: AlgebraPresentation) -> ActionValidation:
         total = {unit: 1}
         for k in range(1, m + 1):
             total.update(action.get((i, k), {}))
-        if not _truncation_holds(p, total):
+        if any(v % p for v in truncation_product(p, total, _add_scaled).values()):
             truncation.append(f"P({name})^{p + 1} != 0")
     unstable += truncation
 
+    power = a._act_power_raw
+
+    def compose(s: int, t: int, x: Exponents) -> dict[Exponents, int]:
+        if not t:
+            return power(s, x)
+        out: dict[Exponents, int] = {}
+        for e, c in power(t, x).items():
+            for f, v in power(s, e).items():
+                out[f] = out.get(f, 0) + c * v
+        return out
+
+    residues = adem_residues(p, generator_instances(a), compose, _add_scaled)
+    failures = [
+        AdemFailure(a_exp, b_exp, x, a.monomial_degree(x))
+        for a_exp, b_exp, x, residue in residues
+        if any(v % p for v in residue.values())
+    ]
     buckets, top = a._degree_buckets(), a.top_degree
-    degrees = tuple(sorted(set(a.degrees)))
-    generators = {d: [e for e in buckets[d] if sum(e) == 1] for d in degrees}
-    failures = _adem_sweep(a, adem_instances(p, degrees, top), generators)
     checked = adem_instance_count(p, {d: len(monos) for d, monos in buckets.items()}, top)
     return ActionValidation(not unstable and not failures, tuple(unstable), tuple(failures), checked)
 

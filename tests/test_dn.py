@@ -17,6 +17,7 @@ from dnalg.dn import (
     max_dn_report,
 )
 from dnalg.steenrod import SteenrodElement, basis_of_degree
+from dnalg.theorems import derive_actions
 from dnalg.truncated import AlgebraError, AlgebraPresentation, filtration
 
 from conftest import (
@@ -510,3 +511,19 @@ def test_violation_values_escape_corrections():
     cert = report.violation.certificate
     assert cert["dim_image_cap_decomposables"] >= 1
     assert "dim_corrections_plus_deep" in cert
+
+
+@pytest.mark.parametrize("p,ms,tables,order", [
+    (3, (1, 1, 2), 14, 1), (5, (1, 1, 2), 34, 2), (7, (2, 2), 40, 3), (3, (1, 2, 3), 24, 1),
+])
+def test_default_search_bounds_reach_max_dn(p, ms, tables, order):
+    # Wider bounds change no max_dn, and the sweep at max_dn + 1 enumerates
+    # every theta degree in full, so a change to the defaults shows here.
+    wide = DnSearchConfig(max_support=3, theta_dim_bound=8)
+    models = derive_actions(p, list(ms), max_unknowns=24)
+    assert len(models) == tables
+    for a in models:
+        n = max_dn(a)
+        assert n == order == max_dn(a, wide)
+        report = check_dn(a, n + 1)
+        assert not report.ok and report.incomplete_theta_degrees == ()

@@ -3,8 +3,10 @@ imports an underscore name from another dnalg module.  And every
 ``functools`` cache decorates a module-level function, so that emptying the
 caches found in the modules' namespaces (as the benchmark does before each
 job) empties them all.  Only ``fp.Record`` defines ``__eq__`` or ``__hash__``.
-Every name the benchmark's tracer wraps exists.  Starting the CLI does not
-import ``dataclasses``."""
+Every name the benchmark's tracer wraps exists.  The Adem system has one
+home: outside ``steenrod`` only ``truncated.adem_residues`` calls
+``adem_relation``, and only ``truncated.frobenius`` writes the square-free
+Frobenius image.  Starting the CLI does not import ``dataclasses``."""
 
 import ast
 import importlib
@@ -151,6 +153,83 @@ def test_the_wrapped_name_guard_sees_missing_names():
         "dnalg.truncated.AlgebraPresentation.project",
         "dnalg.truncated.QSpace.project",
         "dnalg.fp.FpMatrix.__eq__",
+    ]
+
+
+def sites(path: pathlib.Path, matches) -> list[str]:
+    """The qualified name of the innermost function or class around each
+    node of one module that ``matches``, as module.name, in source order."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if matches(node):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if named else where)
+
+    visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return found
+
+
+def calls_adem_relation(node: ast.AST) -> bool:
+    """A call of ``adem_relation``, bare or as an attribute."""
+    return isinstance(node, ast.Call) and "adem_relation" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def frobenius_image(node: ast.AST) -> bool:
+    """Either half of the square-free Frobenius image: a square-free test,
+    ``max(...)`` compared with 1 or 2, or a comprehension that multiplies
+    each item by ``p``."""
+    if isinstance(node, ast.Compare):
+        left = node.left
+        return (
+            isinstance(left, ast.Call)
+            and getattr(left.func, "id", None) == "max"
+            and any(isinstance(c, ast.Constant) and c.value in (1, 2) for c in node.comparators)
+        )
+    if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+        elt = node.elt
+        return (
+            isinstance(elt, ast.BinOp)
+            and isinstance(elt.op, ast.Mult)
+            and "p" in (getattr(elt.left, "id", None), getattr(elt.right, "id", None))
+        )
+    return False
+
+
+def test_the_adem_system_has_one_home():
+    modules = sorted(PACKAGE.glob("*.py"))
+    outside = [path for path in modules if path.stem != "steenrod"]
+    relation = [site for path in outside for site in sites(path, calls_adem_relation)]
+    assert relation == ["truncated.adem_residues"]
+    frobenius = [site for path in modules for site in sites(path, frobenius_image)]
+    assert frobenius == ["truncated.frobenius", "truncated.frobenius"]
+
+
+def test_the_adem_system_guard_sees_copies(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from dnalg import steenrod\n"
+        "from dnalg.steenrod import adem_relation\n"
+        "class Kernel:\n"
+        "    def power(self, p, g):\n"
+        "        def closed(e):\n"
+        "            return tuple(p * x for x in e)\n"
+        "        return {closed(e): c for e, c in g.items() if max(e) <= 1}\n"
+        "def sweep(p, a, b, terms):\n"
+        "    for e1 in terms:\n"
+        "        if max(e1) > 1:\n"
+        "            continue\n"
+        "    return [x * p for x in terms], steenrod.adem_relation(p, a, b)\n"
+        "words = adem_relation(3, 1, 1)\n"
+        "ok = max(words) <= 3 and [2 * x for x in words]\n"
+    )
+    assert sites(module, calls_adem_relation) == ["m.sweep", "m"]
+    assert sites(module, frobenius_image) == [
+        "m.Kernel.power.closed", "m.Kernel.power", "m.sweep", "m.sweep",
     ]
 
 

@@ -28,6 +28,7 @@ from dnalg.truncated import (
     AlgebraError,
     AlgebraPresentation,
     adem_instances,
+    generator_instances,
     induced_q_map,
     preserves_truncation,
     render_polynomial,
@@ -666,6 +667,32 @@ def test_truncation_equations_vanish_exactly_on_stable_tables():
     assert 0 < verdicts[30:].count(True) < 200
 
 
+def test_derive_system_vanishes_exactly_on_valid_tables():
+    # The system derive solves, evaluated at a table's own coefficients,
+    # vanishes iff validate_action accepts the table: both read the same
+    # instances on the generators and the same truncation product.
+    rng = random.Random(62)
+    cases = [(shape, a) for shape in POOL_TUPLES for a in derived(*shape)]
+    cases += [((3, (1, 1, 2)), a) for a in oracle_derived(3, (1, 1, 2))]
+    for shape in ((3, (2, 2)), (3, (1, 2, 3)), (5, (1, 2)), (5, (2, 2))):
+        cases += [(shape, random_table(rng, *shape)) for _ in range(30)]
+    systems = {}
+    verdicts = []
+    for shape, a in cases:
+        if shape not in systems:
+            probe, blocks = free_entries(*shape)
+            systems[shape] = blocks, theorems._derive_equations(probe, blocks)
+        blocks, equations = systems[shape]
+        point = dict(enumerate(entry_vector(a, blocks)))
+        vanish = not any(_poly_value(f, point, a.p) for f in equations)
+        assert vanish == validate_action(a).ok, a
+        verdicts.append(vanish)
+    # 88 pool tables, 14 of the 30 oracle tables and 3 of the 120 random
+    # tables are valid.
+    assert (len(verdicts), verdicts.count(True)) == (238, 105)
+    assert verdicts[88:118].count(True) == 14
+
+
 def test_derive_infeasible_configurations_are_empty():
     # no consistent table exists when a generator needs m=3 at p=5
     assert derived(5, (3,)) == ()
@@ -705,13 +732,7 @@ def test_adem_equations_match_the_reference_kernel():
     for p, ms in shapes:
         probe, blocks = free_entries(p, ms)
         entries = theorems._symbolic_entries(probe, blocks)
-        units = [tuple(int(j == i) for j in range(probe.l)) for i in range(probe.l)]
-        on_generators = [
-            (ae, be, units[i])
-            for ae, be, d in adem_instances(p, tuple(sorted(set(probe.degrees))), probe.top_degree)
-            for i in range(probe.l)
-            if probe.degrees[i] == d
-        ]
+        on_generators = generator_instances(probe)
         on_monomials = [
             (ae, be, exps)
             for ae, be, d in adem_instances(p, tuple(probe.nonzero_degrees()), probe.top_degree)

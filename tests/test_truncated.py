@@ -490,13 +490,13 @@ def test_unstable_failures_match_the_element_checks(pool):
 
 def test_validate_sweeps_once_on_the_generators(pool, monkeypatch):
     calls = []
-    sweep = truncated._adem_sweep
+    residues = truncated.adem_residues
 
-    def spy(a, instances, by_degree):
-        calls.append((a, by_degree))
-        return sweep(a, instances, by_degree)
+    def spy(p, instances, compose, subtract):
+        calls.append((p, list(instances)))
+        return residues(p, calls[-1][1], compose, subtract)
 
-    monkeypatch.setattr(truncated, "_adem_sweep", spy)
+    monkeypatch.setattr(truncated, "adem_residues", spy)
     rng = random.Random(910)
     unstable_shape = oracle_derived(3, (1, 1, 2))
     models = list(pool) + list(unstable_shape)
@@ -506,11 +506,15 @@ def test_validate_sweeps_once_on_the_generators(pool, monkeypatch):
         calls.clear()
         failing += not validate_action(a).ok
         assert len(calls) == 1
-        swept, by_degree = calls[0]
-        assert swept is a
-        assert by_degree == {
-            d: [e for e in a.basis_of_degree(d) if sum(e) == 1] for d in set(a.degrees)
-        }
+        p, instances = calls[0]
+        # Every in-range instance on each generator, in basis order.
+        assert p == a.p
+        assert instances == [
+            (ae, be, e)
+            for ae, be, d in adem_instances(a.p, tuple(sorted(set(a.degrees))), a.top_degree)
+            for e in a.basis_of_degree(d)
+            if sum(e) == 1
+        ]
     assert failing == 132
 
 
