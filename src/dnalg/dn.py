@@ -341,13 +341,16 @@ def _build_slots(a, d, config, incomplete, words_of):
             incomplete.add(q)
         mats = [[a.word_coords(w, m, d) for m in basis_e] for w in words]
         for support, coeffs in combos:
-            cols = [
-                tuple(
-                    sum(c * mats[i][j][r] for i, c in zip(support, coeffs)) % p
-                    for r in range(dim)
-                )
-                for j in range(len(basis_e))
-            ]
+            if coeffs == (1,):  # one word: its columns are already reduced
+                cols = mats[support[0]]
+            else:
+                cols = [
+                    tuple(
+                        sum(c * mats[i][j][r] for i, c in zip(support, coeffs)) % p
+                        for r in range(dim)
+                    )
+                    for j in range(len(basis_e))
+                ]
             if all(not any(col) for col in cols):
                 continue
             # normalize the projective class for dedup: first nonzero entry 1

@@ -13,15 +13,20 @@ face is the image of its vertex set under ``degeneracy``.
 Enumeration is pure and deterministic (lexicographic everywhere), so
 results are stable across runs and safe to compute concurrently.
 
-Tree work is memoized in ``functools.lru_cache`` caches on hashable tree
-tuples: ``binary_trees`` and ``delete_leaf``.  Facet vertices are cached
-per facet type in ``_type_vertices``: by the product decomposition, the
-vertices of a facet depend on its partition only through the type, up to
-renaming letters, so each facet reads its type's grafted vertices and
-renames the letters block by block.  The caches are unbounded, but there
-are only Catalan-many trees per leaf count and 2^(n-1) - 1 facet types on
-n letters.  The benchmark empties every functools cache in dnalg's
-namespaces before each job, so its timings include filling them.
+Four ``functools.lru_cache`` caches memoize the work.  None has a size
+limit; each is bounded by the polytopes asked for.  ``binary_trees(m)``,
+keyed by the leaf count, holds the C_{m-1} trees on m leaves, and
+``delete_leaf(tree, index)`` one entry per tree and leaf.
+``_drop_letter(perm, j)``, keyed by a permutation and a letter, holds the
+position of j and the renumbered permutation that ``degeneracy`` reads:
+n! * n entries on n letters.  ``_type_vertices(types)``, keyed by a facet
+type, holds one ``operator.itemgetter`` and one tree per vertex: by the
+product decomposition, the vertices of a facet depend on its partition
+only through the type, up to renaming letters, so each facet builds a
+vertex's permutation with one getter call on its letters.  There are
+2^(n-1) - 1 facet types on n letters.  Relabelling is thus a table read,
+not a loop over letters.  The benchmark empties every functools cache in
+dnalg's namespaces before each job, so its timings include filling them.
 
 The public constructors check every value they are given.  Three builders
 skip that check where the values are valid by construction.
@@ -41,7 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from operator import le
+from operator import itemgetter, le
 
 from .fp import Record
 
@@ -196,21 +201,22 @@ def _surjections(n: int, m: int):
     """The blocks of each surjection {1..n} -> {1..m}, in lexicographic order
     of its label tuple: a depth-first search that puts letter 1, 2, ... into
     block 1, 2, ... in turn and prunes when the letters left cannot fill the
-    blocks still empty."""
-    blocks: list[list[int]] = [[] for _ in range(m)]
+    blocks still empty.  The blocks are held as tuples, so each surjection
+    found is copied out in one ``tuple`` call."""
+    blocks: list[tuple[int, ...]] = [()] * m
     out = []
 
     def rec(letter, empty):
         if letter > n:
-            out.append(tuple(map(tuple, blocks)))
+            out.append(tuple(blocks))
             return
-        for block in blocks:
+        for k, block in enumerate(blocks):
             still_empty = empty - (not block)
             if n - letter < still_empty:
                 continue
-            block.append(letter)
+            blocks[k] = block + (letter,)
             rec(letter + 1, still_empty)
-            block.pop()
+            blocks[k] = block
 
     rec(1, m)
     return out
@@ -324,15 +330,17 @@ def enumerate_vertices(n: int) -> list[GammaVertex]:
 
 @lru_cache(maxsize=None)
 def _type_vertices(types: tuple[int, ...]) -> tuple:
-    """The vertices of a facet of the given type, as (positions, tree) pairs:
-    the vertex's permutation lists the facet's letters, read block by block,
-    at these positions.  In the order of ``facet_vertices``, each tree
-    grafted once."""
+    """The vertices of a facet of the given type, as (getter, tree) pairs:
+    ``getter(letters)``, on the facet's letters read block by block, is the
+    vertex's permutation.  In the order of ``facet_vertices``, each tree
+    grafted once.  A facet type has at least two blocks, so each getter
+    takes at least two positions and returns a tuple (an ``itemgetter`` of
+    one position would return the bare letter)."""
     offsets = list(itertools.accumulate(types, initial=0))
     factors = [enumerate_vertices(t) for t in types]
     return tuple(
         (
-            tuple(off + i - 1 for off, v in zip(offsets, combo) for i in v.perm),
+            itemgetter(*(off + i - 1 for off, v in zip(offsets, combo) for i in v.perm)),
             graft(ktree, [v.tree for v in combo]),
         )
         for ktree in binary_trees(len(types))
@@ -346,13 +354,19 @@ def facet_vertices(facet: GammaFacet) -> list[GammaVertex]:
     facet's partition was checked when it was made."""
     letters = tuple(itertools.chain.from_iterable(facet.partition.blocks))
     return [
-        _vertex(tuple(map(letters.__getitem__, positions)), tree)
-        for positions, tree in _type_vertices(facet.partition.type)
+        _vertex(get(letters), tree) for get, tree in _type_vertices(facet.partition.type)
     ]
 
 
 # ---------------------------------------------------------------------------
 # degeneracies
+
+
+@lru_cache(maxsize=None)
+def _drop_letter(perm: tuple[int, ...], j: int) -> tuple[int, tuple[int, ...]]:
+    """The position of letter j in ``perm``, and ``perm`` without j with the
+    letters above j lowered by one."""
+    return perm.index(j), tuple(x - 1 if x > j else x for x in perm if x != j)
 
 
 def degeneracy(v: GammaVertex, j: int) -> GammaVertex:
@@ -364,8 +378,7 @@ def degeneracy(v: GammaVertex, j: int) -> GammaVertex:
         raise ValueError("letter out of range")
     if n < 2:
         raise ValueError("cannot delete from a one-letter label")
-    pos = v.perm.index(j)
-    perm = tuple(x - 1 if x > j else x for x in v.perm if x != j)
+    pos, perm = _drop_letter(v.perm, j)
     return _vertex(perm, delete_leaf(v.tree, pos))
 
 
@@ -388,14 +401,14 @@ def boundary_census(n: int) -> dict:
     if not 1 <= n <= 5:
         raise ValueError("census supports 1 <= n <= 5")
     facets = enumerate_facets(n) if n >= 2 else []
-    vertices = enumerate_vertices(n)
+    vertex_count = gamma_vertex_count(n)
     by_type: dict[tuple[int, ...], int] = {}
     for f in facets:
         by_type[f.partition.type] = by_type.get(f.partition.type, 0) + 1
     out = {
         "n": n,
         "dimension": n - 1,
-        "vertices": len(vertices),
+        "vertices": vertex_count,
         "facets": len(facets),
         "facets_by_type": {
             "|".join(map(str, t)): c for t, c in sorted(by_type.items())
@@ -407,9 +420,9 @@ def boundary_census(n: int) -> dict:
         if n == 1:
             f_vector: list[int] = []
         elif n == 2:
-            f_vector = [len(vertices)]
+            f_vector = [vertex_count]
         else:
-            f_vector = [len(vertices), len(facets)]
+            f_vector = [vertex_count, len(facets)]
         euler = sum((-1) ** i * c for i, c in enumerate(f_vector))
         out["f_vector"] = f_vector
         out["euler_characteristic"] = euler

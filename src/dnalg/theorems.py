@@ -196,11 +196,15 @@ def normalize_generators(a: AlgebraPresentation) -> NormalizedPresentation:
         lo, hi = min(degs), max(degs)
         nodes = list(range(lo, hi + 1, step))
         dims = tuple(len(indecomposables(a, d)) for d in nodes)
-        maps = tuple(
-            induced_q_map(a, p1, nodes[i]) for i in range(len(nodes) - 1)
-        )
-        form = chain_interval_form(ChainRep(p, dims, maps))
-        for d, basis in zip(nodes, form.bases):
+        if len(nodes) == 1:  # no map to straighten: the identity basis
+            identity = [[int(r == c) for c in range(dims[0])] for r in range(dims[0])]
+            bases = (FpMatrix.from_rows(p, identity, dims[0]),)
+        else:
+            maps = tuple(
+                induced_q_map(a, p1, nodes[i]) for i in range(len(nodes) - 1)
+            )
+            bases = chain_interval_form(ChainRep(p, dims, maps)).bases
+        for d, basis in zip(nodes, bases):
             if basis.rows:
                 new_basis[d] = basis
 

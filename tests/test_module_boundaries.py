@@ -271,7 +271,7 @@ def module_level_caches(path: pathlib.Path) -> tuple[list[str], list[int]]:
 # Every cached function, per module in source order: a cache added or lost
 # must show here.
 CACHED_NAMES = {
-    "polytopes": ["binary_trees", "delete_leaf", "_type_vertices"],
+    "polytopes": ["binary_trees", "delete_leaf", "_type_vertices", "_drop_letter"],
     "steenrod": ["adem_relation", "_normal_form"],
     "truncated": ["adem_instances", "_adem_normal_form"],
 }

@@ -12,6 +12,7 @@ from dnalg.polytopes import (
     GammaFacet,
     GammaVertex,
     OrderedPartition,
+    _drop_letter,
     _facet,
     _partition,
     _type_vertices,
@@ -340,6 +341,17 @@ def test_facet_vertices_unchanged_by_a_cold_type_cache():
     _type_vertices.cache_clear()
     assert [facet_vertices(f) for f in facets] == warm
     assert _type_vertices.cache_info().currsize == 7 + 15
+
+
+def test_degeneracy_unchanged_by_cold_caches():
+    pairs = [(v, j) for n in (4, 5) for v in enumerate_vertices(n) for j in range(1, n + 1)]
+    warm = [degeneracy(v, j) for v, j in pairs]
+    _drop_letter.cache_clear()
+    delete_leaf.cache_clear()
+    assert [degeneracy(v, j) for v, j in pairs] == warm
+    # n! * n relabel entries and m * C_{m-1} leaf deletions on n = m letters
+    assert _drop_letter.cache_info().currsize == 24 * 4 + 120 * 5
+    assert delete_leaf.cache_info().currsize == 4 * 5 + 5 * 14
 
 
 def test_enumeration_digest_is_pinned():
