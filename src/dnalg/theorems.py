@@ -341,10 +341,10 @@ class RangeCheckResult:
         return {v.key(): v.ok for v in self.verdicts}
 
 
-def _q_rank(a: AlgebraPresentation, s: int, e: int) -> tuple[int, int, int]:
-    """(dim source, dim target, rank) of P^s on indecomposables from degree e."""
-    ds = a.half_degrees.count(e // 2)  # e is even: dim Q^e counts generators
-    dt = a.half_degrees.count(e // 2 + s * (a.p - 1))
+def _q_rank(a: AlgebraPresentation, s: int, e: int, counts: dict[int, int]) -> tuple[int, int, int]:
+    """(dim source, dim target, rank) of P^s on Q^e; ``counts[d]`` = dim Q^d."""
+    ds = counts.get(e, 0)
+    dt = counts.get(e + 2 * s * (a.p - 1), 0)
     if not ds or not dt:
         return ds, dt, 0
     return ds, dt, induced_q_map(a, SteenrodElement.power(a.p, s), e).rank()
@@ -360,6 +360,7 @@ def check_thm_a(a: AlgebraPresentation) -> RangeCheckResult:
     """
     p = a.p
     top = a.top_degree
+    counts = {d: a.degrees.count(d) for d in a.degrees}  # dim Q^d
     surject, vanish, iso = [], [], []
     pa = 1
     aa = 0
@@ -370,7 +371,7 @@ def check_thm_a(a: AlgebraPresentation) -> RangeCheckResult:
                 for t in range(1, c):
                     src = 2 * pa * c
                     tgt = 2 * pa * (t * p + c - t)
-                    ds, dt, r = _q_rank(a, pa * t, src)
+                    ds, dt, r = _q_rank(a, pa * t, src, counts)
                     iso.append(
                         RangeVerdict(
                             "A3", aa, None, c, t, src, tgt, ds, dt, r,
@@ -382,7 +383,7 @@ def check_thm_a(a: AlgebraPresentation) -> RangeCheckResult:
                 tgt = 2 * pa * (p * b + c)
                 for t in range(1, min(b, p - c) + 1):
                     src = 2 * pa * (p * (b - t) + c + t)
-                    ds, dt, r = _q_rank(a, pa * t, src)
+                    ds, dt, r = _q_rank(a, pa * t, src, counts)
                     surject.append(
                         RangeVerdict(
                             "A1", aa, b, c, t, src, tgt, ds, dt, r,
@@ -392,7 +393,7 @@ def check_thm_a(a: AlgebraPresentation) -> RangeCheckResult:
                 for t in range(c, p):
                     src = tgt
                     tgt2 = 2 * pa * (p * (b + t) + c - t)
-                    ds, dt, r = _q_rank(a, pa * t, src)
+                    ds, dt, r = _q_rank(a, pa * t, src, counts)
                     vanish.append(
                         RangeVerdict(
                             "A2", aa, b, c, t, src, tgt2, ds, dt, r,
@@ -537,18 +538,17 @@ def _unknown_grading(blocks, l: int) -> list[tuple[int, ...]]:
     return grading
 
 
-def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
-    """The coefficients of the residue of every instance (P^a, P^b,
-    monomial) (``truncated.adem_residues``), as polynomials in the variables
-    of ``entries`` (see ``_symbolic_entries``).  ``power`` is
-    ``_act_power_raw`` over polynomials, with its closed form on y_i^p: the
-    coefficients c satisfy c^p = c as functions on F_p^n, which is how the
-    solver's polynomials multiply."""
+def _symbolic_power(a: AlgebraPresentation, entries):
+    """Return ``power(k, monomial)``: ``_act_power_raw`` over polynomials in
+    the variables of ``entries``, memoized, with both closed forms (on y_i^p,
+    c^p = c holds as functions on F_p^n, which is how the solver's
+    polynomials multiply).  The Cartan sum walks only the nonzero entries."""
     p, one = a.p, {(): 1}
     memos: dict[int, dict[Exponents, dict[Exponents, Poly]]] = {}
+    nonzero = [[(j, g) for j in range(1, m + 1) if (g := entries[(i, j)])]
+               for i, m in enumerate(a.half_degrees)]
 
     def power(k: int, exps: Exponents) -> dict[Exponents, Poly]:
-        """P^k (k >= 1) on one monomial, memoized per k."""
         memo = memos.get(k)
         if memo is None:
             memo = memos[k] = {}
@@ -558,32 +558,43 @@ def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
         i = len(exps) - 1
         while i >= 0 and not exps[i]:
             i -= 1
-        if i >= 0 and exps[i] == p and sum(exps) == p:  # y_i^p: P(y_i^p) = P(y_i)^p
+        if sum(exps) <= 1:  # the unit (P^k 1 = 0), or y_i: the entry P^k y_i
+            out = memo[exps] = entries[(i, k)] if i >= 0 and k <= a.half_degrees[i] else {}
+            return out
+        if exps[i] == p and sum(exps) == p:  # y_i^p: P(y_i^p) = P(y_i)^p
             q, r = divmod(k, p)
             g = entries[(i, q)] if not r and q <= a.half_degrees[i] else {}
             out = memo[exps] = frobenius(p, g)
             return out
         acc: dict[Exponents, dict] = {}
-        if i >= 0:  # else the unit: P^k 1 = 0
-            x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            for e1, c1 in power(k, x).items():
-                if e1[i] < p:  # distinct e1 raise to distinct monomials
-                    acc[e1[:i] + (e1[i] + 1,) + e1[i + 1:]] = dict(c1)
-            m = a.half_degrees[i]
-            for j in range(1, min(k - 1, m) + 1):
-                g = entries[(i, j)]
-                for e1, c1 in power(k - j, x).items():
-                    for e2, c2 in g.items():
-                        e = tuple(map(add, e1, e2))
-                        if max(e) <= p:
-                            poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
-            if k <= m:
-                for e2, c2 in entries[(i, k)].items():
-                    e = tuple(map(add, x, e2))
+        x = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+        for e1, c1 in power(k, x).items():
+            if e1[i] < p:  # distinct e1 raise to distinct monomials
+                acc[e1[:i] + (e1[i] + 1,) + e1[i + 1:]] = dict(c1)
+        for j, g in nonzero[i]:
+            if j >= k:
+                break
+            for e1, c1 in power(k - j, x).items():
+                for e2, c2 in g.items():
+                    e = tuple(map(add, e1, e2))
                     if max(e) <= p:
-                        poly_mul_into(acc.setdefault(e, {}), one, c2, p)
+                        poly_mul_into(acc.setdefault(e, {}), c1, c2, p)
+        if k <= a.half_degrees[i]:
+            for e2, c2 in entries[(i, k)].items():
+                e = tuple(map(add, x, e2))
+                if max(e) <= p:
+                    poly_mul_into(acc.setdefault(e, {}), one, c2, p)
         out = memo[exps] = {e: c for e, f in acc.items() if (c := poly_reduce(f, p))}
         return out
+
+    return power
+
+
+def _adem_equations(a: AlgebraPresentation, entries, instances) -> list[Poly]:
+    """The coefficients of the residue of every instance (P^a, P^b,
+    monomial) (``truncated.adem_residues``), as polynomials in the variables
+    of ``entries``, composed with one ``_symbolic_power`` kernel."""
+    p, power = a.p, _symbolic_power(a, entries)
 
     def compose(s: int, t: int, exps: Exponents) -> dict[Exponents, Poly]:
         """P^s P^t on one monomial, in fresh dicts when t >= 1."""
@@ -628,9 +639,15 @@ def _derive_equations(a: AlgebraPresentation, blocks) -> list[Poly]:
     """The system ``derive_actions`` solves on the generator-only
     presentation ``a``: every in-range Adem instance on the generator of its
     degree (``truncated.generator_instances``), then the truncation
-    equations."""
+    equations.  An unknown v that a one-term truncation equation c*v = 0
+    pins (by ROADMAP item 1's lemma, every generator term of a P^k y_i, and
+    more) is dropped before the Adem instances are composed; the truncation
+    equations keep it, so the solutions do not change."""
     entries = _symbolic_entries(a, blocks)
-    return _adem_equations(a, entries, generator_instances(a)) + _truncation_equations(a, entries)
+    truncation = _truncation_equations(a, entries)
+    pinned = {m for f in truncation if len(f) == 1 for m in f if len(m) == 1}
+    entries = {key: {e: f for e, f in g.items() if f.keys() - pinned} for key, g in entries.items()}
+    return _adem_equations(a, entries, generator_instances(a)) + truncation
 
 
 def derive_actions(

@@ -33,12 +33,12 @@ and scalings, once reduced mod p.  The tests rebuild every such element
 through the public constructor.
 
 P^k of each monomial is computed once per presentation and kept in one memo
-dict per power index k; on a p-th power y_i^p it is read off the entry
-P^{k/p} y_i (see ``_act_power_raw``).  ``validate_action`` and the symbolic
-system of ``theorems.derive_actions`` share one Adem system, each piece
-taking the caller's kernel or coefficient arithmetic: the instances on the
-generators (``generator_instances``), their residues (``adem_residues``),
-the truncation product x^{p+1} = x^p * x (``truncation_product``) and the
+dict per power index k; on y_i and on y_i^p it is read off the table (see
+``_act_power_raw``).  ``validate_action`` and the symbolic system of
+``theorems.derive_actions`` share one Adem system, each piece taking the
+caller's kernel or coefficient arithmetic: the instances on the generators
+(``generator_instances``), their residues (``adem_residues``), the
+truncation product x^{p+1} = x^p * x (``truncation_product``) and the
 Frobenius image x^p (``frobenius``).
 """
 
@@ -404,13 +404,14 @@ class AlgebraPresentation:
         The j = 0 term is P^k(x) with exponent i raised by one, and the
         j = k term is the stored entry P^k(y_i) times x.
 
-        On y_i^p the recursion would run p levels deep; the total power
-        P = sum_k P^k that it computes is a ring map and Frobenius is one,
-        so P(y_i^p) = P(y_i)^p = sum c^p mono^p over the square-free
-        monomials of P(y_i), with c^p = c in F_p.  P^k(y_i^p) is therefore
-        zero unless k = p*q with q <= m_i, and then the square-free part of
-        the entry P^q(y_i) raised to the p-th power.  That holds for any
-        table, valid or not."""
+        On y_i the value is the cleaned entry P^k y_i itself, which no caller
+        may mutate, and zero above m_i.  On y_i^p the recursion would run p
+        levels deep; the total power P = sum_k P^k that it computes is a ring
+        map and Frobenius is one, so P(y_i^p) = P(y_i)^p = sum c^p mono^p
+        over the square-free monomials of P(y_i), with c^p = c in F_p.
+        P^k(y_i^p) is therefore zero unless k = p*q with q <= m_i, and then
+        the square-free part of the entry P^q(y_i) raised to the p-th power.
+        Both closed forms hold for any table, valid or not."""
         memo = self._power_memo.get(k)
         if memo is None:
             memo = self._power_memo[k] = {}
@@ -420,9 +421,10 @@ class AlgebraPresentation:
         i = len(exps) - 1
         while i >= 0 and not exps[i]:
             i -= 1
-        if i < 0:  # the unit: P^k 1 = 0 for k >= 1
-            memo[exps] = {}
-            return memo[exps]
+        if sum(exps) <= 1:  # the unit (P^k 1 = 0 for k >= 1), or y_i: the stored entry
+            read = i >= 0 and k <= self.half_degrees[i]
+            out = memo[exps] = self._action.get((i, k), {}) if read else {}
+            return out
         p = self.p
         if exps[i] == p and sum(exps) == p:  # y_i^p: the closed form above
             q, r = divmod(k, p)
@@ -449,8 +451,7 @@ class AlgebraPresentation:
                 e = tuple(map(add, x, e2))
                 if max(e) <= p:
                     acc[e] = acc.get(e, 0) + c2
-        out = {e: c % p for e, c in acc.items() if c % p}
-        memo[exps] = out
+        out = memo[exps] = {e: c % p for e, c in acc.items() if c % p}
         return out
 
     def _act_power_terms(self, k: int, terms: dict) -> dict:
@@ -669,6 +670,19 @@ def adem_residues(p: int, instances, compose, add_scaled):
         yield a_exp, b_exp, x, residue
 
 
+def _monomial_counts(a: AlgebraPresentation) -> dict[int, int]:
+    """The number of monomials of each degree, with no monomial built: the
+    product over generators of the steps 0, 2m_i, ..., 2m_i*p."""
+    counts = {0: 1}
+    for m in a.half_degrees:
+        out: dict[int, int] = {}
+        for d, n in counts.items():
+            for step in range(0, 2 * m * (a.p + 1), 2 * m):
+                out[d + step] = out.get(d + step, 0) + n
+        counts = out
+    return counts
+
+
 def validate_action(a: AlgebraPresentation) -> ActionValidation:
     """Check that the table defines an action, on the generators alone:
     unstability, the truncation, and every in-range Adem instance.
@@ -728,8 +742,7 @@ def validate_action(a: AlgebraPresentation) -> ActionValidation:
         for a_exp, b_exp, x, residue in residues
         if any(v % p for v in residue.values())
     ]
-    buckets, top = a._degree_buckets(), a.top_degree
-    checked = adem_instance_count(p, {d: len(monos) for d, monos in buckets.items()}, top)
+    checked = adem_instance_count(p, _monomial_counts(a), a.top_degree)
     return ActionValidation(not unstable and not failures, tuple(unstable), tuple(failures), checked)
 
 

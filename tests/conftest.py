@@ -73,12 +73,11 @@ def entry_vector(a: AlgebraPresentation, blocks) -> tuple[int, ...]:
     return tuple(a.action_entry(i, k).coefficient(e) for i, k, basis in blocks for e in basis)
 
 
-def reference_adem_equations(a: AlgebraPresentation, entries, instances):
-    """The reference for ``theorems._adem_equations``, with none of its
+def reference_power(a: AlgebraPresentation, entries):
+    """The reference for ``theorems._symbolic_power``, with none of its
     shortcuts: P^k on one monomial by the Cartan recursion over every j
-    (the j = 0 and j = k terms as products too), memoized per (k,
-    monomial), and every word of every instance evaluated afresh with its
-    coefficient folded in.  ``oracle_derived`` solves with it."""
+    (the j = 0 and j = k terms as products too, and no closed form),
+    memoized per (k, monomial).  It reads no entry above m_i."""
     p, one = a.p, {(): 1}
     memo = {}
 
@@ -97,6 +96,15 @@ def reference_adem_equations(a: AlgebraPresentation, entries, instances):
             memo[(k, exps)] = {e: c for e, f in acc.items() if (c := poly_reduce(f, p))}
         return memo[(k, exps)]
 
+    return power
+
+
+def reference_adem_equations(a: AlgebraPresentation, entries, instances):
+    """The reference for ``theorems._adem_equations``: ``reference_power``,
+    and every word of every instance evaluated afresh with its coefficient
+    folded in.  ``oracle_derived`` solves with it."""
+    p, one = a.p, {(): 1}
+    power = reference_power(a, entries)
     equations = []
     for ae, be, exps in instances:
         diff = {}

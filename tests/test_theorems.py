@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -31,6 +32,7 @@ from dnalg.truncated import (
     generator_instances,
     induced_q_map,
     preserves_truncation,
+    pure_power,
     render_polynomial,
     validate_action,
 )
@@ -46,6 +48,7 @@ from conftest import (
     random_element,
     random_table,
     reference_adem_equations,
+    reference_power,
     s3_model,
     stable,
     table_of,
@@ -465,16 +468,17 @@ def test_q_rank_matches_full_induced_map(pool, monkeypatch):
     visited = []
     real = theorems._q_rank
 
-    def spy(a, s, e):
-        visited.append((a, s, e))
-        return real(a, s, e)
+    def spy(a, s, e, counts):
+        visited.append((a, s, e, counts))
+        return real(a, s, e, counts)
 
     monkeypatch.setattr(theorems, "_q_rank", spy)
     for a in pool:
         check_thm_a(a)
     assert visited
-    for a, s, e in visited:
-        assert real(a, s, e) == _q_rank_by_matrix(a, s, e)
+    for a, s, e, counts in visited:
+        assert counts == {d: a.degrees.count(d) for d in a.degrees}
+        assert real(a, s, e, counts) == _q_rank_by_matrix(a, s, e)
 
 
 def test_q_rank_with_both_q_spaces_nonzero():
@@ -482,9 +486,10 @@ def test_q_rank_with_both_q_spaces_nonzero():
     a = AlgebraPresentation(
         3, [("y4", 2), ("y8", 4)], {("y4", 1): {(0, 1): 1, (2, 0): 1}}
     )
-    assert theorems._q_rank(a, 1, 4) == _q_rank_by_matrix(a, 1, 4) == (1, 1, 1)
+    counts = {4: 1, 8: 1}
+    assert theorems._q_rank(a, 1, 4, counts) == _q_rank_by_matrix(a, 1, 4) == (1, 1, 1)
     b = AlgebraPresentation(3, [("y4", 2), ("y8", 4)], {("y4", 1): {(2, 0): 1}})
-    assert theorems._q_rank(b, 1, 4) == _q_rank_by_matrix(b, 1, 4) == (1, 1, 0)
+    assert theorems._q_rank(b, 1, 4, counts) == _q_rank_by_matrix(b, 1, 4) == (1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +751,89 @@ def test_adem_equations_match_the_reference_kernel():
     assert compared == 1625
 
 
+def test_symbolic_power_on_a_generator_is_the_recursion_value():
+    # The symbolic kernel reads P^k y_i off its entries, on unknowns and on
+    # the constants of random tables, and gives zero above m_i even where
+    # an entry is stored there; the reference recurses through the unit.
+    rng = random.Random(33)
+    cases = []
+    for p, ms in POOL_TUPLES + [(3, (2, 4)), (7, (2, 2)), (3, (1, 2, 3)), (5, (2, 2, 2))]:
+        probe, blocks = free_entries(p, ms)
+        cases.append((probe, theorems._symbolic_entries(probe, blocks)))
+    for p, ms in [(3, (1, 2, 3)), (5, (1, 2, 4)), (7, (2, 3)), (5, (2, 2, 3))]:
+        a = random_table(rng, p, ms)
+        entries = {
+            (i, k): {e: {(): c} for e, c in a.action_entry(i, k).terms.items()}
+            for i, m in enumerate(a.half_degrees)
+            for k in range(m + 1)
+        }
+        for i, m in enumerate(a.half_degrees):
+            for k in range(m + 1, m + p + 1):
+                entries[(i, k)] = {pure_power(a.l, i): {(): 1}}  # never read
+        cases.append((a, entries))
+    compared = 0
+    for a, entries in cases:
+        power, reference = theorems._symbolic_power(a, entries), reference_power(a, entries)
+        for i, m in enumerate(a.half_degrees):
+            unit = pure_power(a.l, i)
+            for k in range(1, m + a.p + 1):
+                assert power(k, unit) == reference(k, unit), (a, i, k)
+                assert k <= m or power(k, unit) == {}
+                compared += 1
+    assert compared == 363
+
+
+def unreduced_derive_equations(probe, blocks):
+    """derive's system with every unknown kept symbolic in the Adem
+    instances: the Adem equations, then the truncation equations."""
+    entries = theorems._symbolic_entries(probe, blocks)
+    adem = theorems._adem_equations(probe, entries, generator_instances(probe))
+    return adem, theorems._truncation_equations(probe, entries)
+
+
+@pytest.mark.parametrize(
+    "p,ms,max_unknowns,count",
+    [(3, (2, 2), 12, 12), (3, (2, 4), 12, 0), (5, (2, 2), 12, 24), (5, (2, 2, 2), 30, 544)],
+)
+def test_dropping_pinned_unknowns_keeps_the_solutions(p, ms, max_unknowns, count):
+    # derive composes its Adem instances with the unknowns that a one-term
+    # truncation equation c*v = 0 pins dropped; it must list exactly the
+    # solutions of the system that keeps them, which is still solved with v.
+    probe, blocks = free_entries(p, ms)
+    unknowns = sum(len(basis) for *_, basis in blocks)
+    adem, truncation = unreduced_derive_equations(probe, blocks)
+    reduced = theorems._derive_equations(probe, blocks)
+    assert reduced[len(reduced) - len(truncation):] == truncation
+
+    def variables(equations):
+        return {v for f in equations for m in f for v in m}
+
+    pinned = {m[0] for f in truncation if len(f) == 1 for m in f if len(m) == 1}
+    dropped = variables(adem) - variables(reduced[: len(reduced) - len(truncation)])
+    assert dropped and dropped <= pinned
+    grading = theorems._unknown_grading(blocks, probe.l)
+    want = solve_polynomial_system(p, unknowns, adem + truncation, grading)
+    assert len(want) == count
+    got = derive_actions(p, list(ms), max_unknowns=max_unknowns)
+    assert [entry_vector(a, blocks) for a in got] == want
+
+
+def test_the_kernels_leave_the_action_table_as_it_was(pool):
+    # The numeric kernel's memo holds the stored entry dicts themselves, so
+    # nothing the decide calls run may mutate them.
+    rng = random.Random(33)
+    shapes = [(3, (1, 2, 3)), (5, (1, 2, 4)), (7, (2, 3)), (5, (2, 2, 3)), (3, (2, 4))]
+    tables = list(pool)[::3] + [random_table(rng, p, ms) for p, ms in shapes]
+    for a in tables:
+        before = copy.deepcopy(a._action)
+        validate_action(a)
+        normalize_generators(a)
+        check_thm_a(a)
+        max_dn(a)
+        assert a._action == before, a
+        assert a._power_memo
+
+
 def test_derive_equations_are_homogeneous_for_the_unknown_grading():
     # The solver may branch once per scaling orbit only if every equation
     # derive solves is homogeneous modulo p - 1 for the grading it passes.
@@ -763,7 +851,10 @@ def test_derive_equations_are_homogeneous_for_the_unknown_grading():
             assert len(degrees) <= 1, (p, ms, f)
             checked += 1
             several += len(f) > 1
-    assert (checked, several) == (205, 164)
+    # The Adem equations are composed with the unknowns that a one-term
+    # truncation equation pins dropped: a residue monomial reached only
+    # through pinned terms no longer appears, and other equations lose terms.
+    assert (checked, several) == (198, 149)
 
 
 @pytest.mark.parametrize("p,ms,count", [(5, (2, 2), 24), (7, (2, 2), 40)])

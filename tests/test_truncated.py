@@ -108,6 +108,23 @@ def test_degree_buckets_match_monomial_degree(pool):
         assert list(buckets) == list(expected)
 
 
+def test_monomial_counts_match_the_degree_buckets(pool):
+    # validate_action counts the monomials of each degree by a convolution
+    # over the generators; the buckets list them.
+    rng = random.Random(33)
+    shapes = [
+        (p, tuple(sorted(rng.randint(1, 2 * p) for _ in range(rng.randint(1, 3)))))
+        for p in (3, 5, 7) for _ in range(8)
+    ]
+    presentations = list(pool) + [AlgebraPresentation(5, [])] + [
+        AlgebraPresentation(p, [(f"y{i}", m) for i, m in enumerate(ms)]) for p, ms in shapes
+    ]
+    for a in presentations:
+        want = {d: len(bucket) for d, bucket in a._degree_buckets().items()}
+        assert truncated._monomial_counts(a) == want, a
+    assert truncated._monomial_counts(AlgebraPresentation(3, [])) == {0: 1}
+
+
 def test_multiply_truncation():
     a = s3_model(3, 2)
     y = a.gen(0)
@@ -182,6 +199,18 @@ def test_iterated_first_power_reaches_frobenius():
             assert value == (a.gen(0) ** p).scale(math.factorial(m))
 
 
+def with_entries_above_the_top(rng, a):
+    """``a`` with a random P^k y_i stored for each m_i < k <= m_i + p whose
+    degree has a monomial: entries the Cartan formula never reads."""
+    action = {(a.names[i], k): dict(poly) for (i, k), poly in a._action.items()}
+    for i, m in enumerate(a.half_degrees):
+        for k in range(m + 1, m + a.p + 1):
+            basis = a.basis_of_degree(2 * m + 2 * k * (a.p - 1))
+            if basis:
+                action[(a.names[i], k)] = {rng.choice(basis): rng.randrange(1, a.p)}
+    return AlgebraPresentation(a.p, list(zip(a.names, a.half_degrees)), action)
+
+
 def total_power_series_act(a, k, exps):
     """Reference P^k on one monomial: the t^k coefficient of the total-power
     series prod_i (sum_j P^j y_i t^j)^{e_i}, multiplied out factor by factor
@@ -211,10 +240,11 @@ def test_act_power_matches_total_power_series(pool):
     tables = [
         random_table(rng, p, ms) for p, ms in [(3, (1, 2, 3)), (5, (1, 2, 4)), (7, (2, 3))]
     ]
+    tables += [with_entries_above_the_top(rng, a) for a in tables]
     # An entry above m_i, which the Cartan formula never reads: P^2 y2 = y4*y6,
     # so P^6(y2^3) would be (y4*y6)^3 if it did.
     tables.append(AlgebraPresentation(3, [("y2", 1), ("y4", 2), ("y6", 3)], {("y2", 2): {(0, 1, 1): 1}}))
-    frobenius_images = 0
+    frobenius_images = stored_above = 0
     for a in list(pool) + tables:
         ks = range(max(a.half_degrees) + 1)
         monomials = [e for d in a.nonzero_degrees() for e in a.basis_of_degree(d)]
@@ -222,6 +252,15 @@ def test_act_power_matches_total_power_series(pool):
             for k in ks:
                 got = a.act_power(k, a.element({exps: 1})).terms
                 assert got == total_power_series_act(a, k, exps), (a, k, exps)
+        # P^k y_i is read off the table: the stored entry up to m_i, and zero
+        # above it, also where the table stores an entry there.
+        for i, m in enumerate(a.half_degrees):
+            unit = pure_power(a.l, i)
+            for k in range(1, m + a.p + 1):
+                got = a._act_power_raw(k, unit)
+                assert got == total_power_series_act(a, k, unit), (a, k, unit)
+                assert got == (a._action.get((i, k), {}) if k <= m else {})
+                stored_above += k > m and bool(a._action.get((i, k)))
         # P^{pq}(y_i^p) = P^q(y_i)^p reaches past max m_i: every k that fits.
         for i in range(a.l):
             exps = pure_power(a.l, i, a.p)
@@ -229,7 +268,7 @@ def test_act_power_matches_total_power_series(pool):
                 got = a.act_power(k, a.element({exps: 1})).terms
                 assert got == total_power_series_act(a, k, exps), (a, k, exps)
                 frobenius_images += k >= a.p and bool(got)
-    assert frobenius_images
+    assert frobenius_images and stored_above
 
 
 def test_cartan_property_random(pool):
